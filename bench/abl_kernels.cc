@@ -16,17 +16,31 @@
 //   end-to-end  fig12-style authenticated queries (ImageProof config),
 //               measuring the full SP pipeline on the adopted kernels, and
 //               a warm reusable QueryScratch vs scratch-free comparison.
+//   client      Client::Verify by stage (reveal check, MRKD replay, BoVW
+//               check, inverted verify, signatures) at 30 features, plus
+//               the digests one verify computes. Stage times come from the
+//               client.stage.* histograms, so they read zero in an
+//               IMAGEPROOF_NO_METRICS build.
+//
+// The report's "context" records the machine and build: hw_threads, AVX2
+// dispatch, compiler and build type.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/kernels.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "crypto/sha3.h"
+#include "obs/json.h"
+#include "obs/registry.h"
 
 using namespace imageproof;
 using namespace imageproof::bench;
@@ -78,6 +92,16 @@ int main(int argc, char** argv) {
               kern::Avx2Active() ? "AVX2" : "portable");
   report.AddValue("avx2_compiled", kern::Avx2Compiled() ? 1 : 0);
   report.AddValue("avx2_active", kern::Avx2Active() ? 1 : 0);
+  {
+    obs::JsonWriter w;
+    w.BeginObject();
+    w.Key("hw_threads").I64(std::thread::hardware_concurrency());
+    w.Key("avx2_active").Bool(kern::Avx2Active());
+    w.Key("compiler").String(IMAGEPROOF_COMPILER);
+    w.Key("build_type").String(IMAGEPROOF_BUILD_TYPE);
+    w.EndObject();
+    report.AddJson("context", w.Take());
+  }
   std::printf("%-28s %14s %14s %9s\n", "section", "baseline", "kernel",
               "speedup");
   std::printf("-------------------------------------------------------------------\n");
@@ -305,6 +329,78 @@ int main(int argc, char** argv) {
     report.AddValue("e2e_query_cold_ms", cold_ms);
     report.AddValue("e2e_query_warm_scratch_ms", scratch_ms);
     report.AddValue("e2e_scratch_speedup", cold_ms / scratch_ms);
+  }
+
+  // --- client verify stages ------------------------------------------------
+  // The repository benchmark's deployment shape (perfbench/README.md): 2000
+  // images, 4096 clusters, 64-d, 30 features, k = 10, signed 4 KiB
+  // payloads, 512-bit RSA. Stage means over repeated verifies of the same
+  // responses.
+  {
+    core::Config config = core::Config::ImageProof();
+    config.rsa_bits = 512;
+    workload::CorpusParams cp;
+    cp.num_images = smoke ? 500 : 2000;
+    cp.num_clusters = smoke ? 1024 : 4096;
+    cp.seed = 1;
+    auto corpus = workload::GenerateCorpus(cp);
+    std::unordered_map<bovw::ImageId, Bytes> blobs;
+    for (const auto& [id, v] : corpus) {
+      blobs[id] = workload::GenerateImageBlob(id, 4096);
+    }
+    workload::CodebookParams cbp;
+    cbp.num_clusters = cp.num_clusters;
+    cbp.dims = 64;
+    cbp.seed = 2;
+    core::OwnerOutput owner = core::BuildDeployment(
+        config, workload::GenerateCodebook(cbp), corpus, std::move(blobs), 3);
+    core::ServiceProvider sp(owner.package.get());
+    core::Client client(owner.public_params);
+
+    const int num_queries = smoke ? 4 : 12;
+    const int reps = smoke ? 3 : 20;
+    std::vector<std::vector<std::vector<float>>> queries;
+    std::vector<core::QueryResponse> responses;
+    for (int q = 0; q < num_queries; ++q) {
+      const auto& source = corpus[(7 + q) * 2654435761u % corpus.size()].second;
+      queries.push_back(workload::FeaturesFromBovw(
+          owner.package->codebook, source, 30, 0.25, 0.2, 500 + q));
+      responses.push_back(sp.Query(queries.back(), 10));
+    }
+    static const char* kStages[][2] = {
+        {"client.verify_us", "client_verify_ms"},
+        {"client.stage.reveal_verify_us", "client_reveal_ms"},
+        {"client.stage.mrkd_replay_us", "client_mrkd_replay_ms"},
+        {"client.stage.bovw_check_us", "client_bovw_check_ms"},
+        {"client.stage.inv_verify_us", "client_inv_verify_ms"},
+        {"client.stage.sig_verify_us", "client_sig_verify_ms"},
+    };
+    obs::Registry& reg = obs::Registry::Global();
+    uint64_t before[std::size(kStages)];
+    for (size_t i = 0; i < std::size(kStages); ++i) {
+      before[i] = reg.GetHistogram(kStages[i][0]).Sum();
+    }
+    const uint64_t hashes_before = crypto::HashInvocations();
+    bool all_verified = true;
+    for (int r = 0; r < reps; ++r) {
+      for (int q = 0; q < num_queries; ++q) {
+        all_verified &= client.Verify(queries[q], 10, responses[q].vo).ok();
+      }
+    }
+    const double verifies = static_cast<double>(reps) * num_queries;
+    Check(all_verified, "client stages: every verify passes");
+    std::printf("%-28s %11s\n", "client verify stage", "mean ms");
+    for (size_t i = 0; i < std::size(kStages); ++i) {
+      const double ms =
+          (reg.GetHistogram(kStages[i][0]).Sum() - before[i]) / 1000.0 /
+          verifies;
+      std::printf("%-28s %11.3f\n", kStages[i][1], ms);
+      report.AddValue(kStages[i][1], ms);
+    }
+    const double hashes =
+        (crypto::HashInvocations() - hashes_before) / verifies;
+    std::printf("%-28s %11.1f\n", "client hashes per verify", hashes);
+    report.AddValue("client_hashes_per_verify", hashes);
   }
 
   return FinishBench(g_ok ? 0 : 1);

@@ -37,6 +37,26 @@ struct BytesView {
   BytesView(const Bytes& b) : data(b.data()), size(b.size()) {}  // NOLINT
 };
 
+// Canonical little-endian stores into caller-owned buffers: the same bytes
+// ByteWriter and crypto::DigestBuilder emit, for preimages assembled in
+// place before a batch digest.
+inline void StoreU32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+inline void StoreU64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+inline void StoreF32(uint8_t* p, float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  StoreU32(p, bits);
+}
+inline void StoreF64(uint8_t* p, double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  StoreU64(p, bits);
+}
+
 // Appends canonical encodings to a growable byte buffer.
 class ByteWriter {
  public:
@@ -180,6 +200,14 @@ class ByteReader {
   Status GetBytes(size_t n, Bytes* out) {
     if (remaining() < n) return Truncated("bytes");
     out->assign(data_, data_ + n);
+    data_ += n;
+    return Status::Ok();
+  }
+
+  // Copies the next `n` bytes into caller-owned storage (no allocation).
+  Status GetBytes(size_t n, uint8_t* out) {
+    if (remaining() < n) return Truncated("bytes");
+    std::memcpy(out, data_, n);
     data_ += n;
     return Status::Ok();
   }

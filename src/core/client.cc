@@ -1,12 +1,10 @@
 #include "core/client.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstring>
 
 #include "common/stopwatch.h"
 #include "crypto/hasher.h"
-#include "crypto/sha3.h"
 #include "freqgroup/fg_verify.h"
 #include "invindex/verify.h"
 #include "mrkd/verify.h"
@@ -16,13 +14,6 @@
 namespace imageproof::core {
 
 namespace {
-
-crypto::Digest ImageDigest(ImageId id, const Bytes& data) {
-  return crypto::DigestBuilder()
-      .AddU64(id)
-      .AddDigest(crypto::Sha3(data))
-      .Finalize();
-}
 
 // Client-side verification metrics: one timer per ADS check (Section V-C
 // step), plus the VO size broken down by component — the paper's VO-size
@@ -120,16 +111,15 @@ Result<VerifiedResults> Client::VerifyImpl(
       return Result<VerifiedResults>::Error("client: trailing reveal bytes");
     }
   }
-  std::map<mrkd::ClusterId, crypto::Digest> commitments;
-  std::map<mrkd::ClusterId, const mrkd::ClusterReveal*> reveal_of;
-  for (const mrkd::ClusterReveal& rev : reveals) {
-    crypto::Digest commitment;
-    Status s = mrkd::VerifyReveal(config.reveal_mode, dims, rev, &commitment);
+  // Table entry i is reveals[i]: the MRKD replay marks candidates by entry.
+  mrkd::CommitmentTable commitments;
+  {
+    std::vector<crypto::Digest> digests;
+    Status s = mrkd::VerifyReveals(config.reveal_mode, dims, reveals, &digests);
     if (!s.ok()) return s;
-    if (!commitments.emplace(rev.id, commitment).second) {
-      return Result<VerifiedResults>::Error("client: duplicate cluster reveal");
-    }
-    reveal_of[rev.id] = &rev;
+    std::vector<mrkd::ClusterId> ids(reveals.size());
+    for (size_t i = 0; i < reveals.size(); ++i) ids[i] = reveals[i].id;
+    if (!(s = commitments.Assign(ids, std::move(digests))).ok()) return s;
   }
 
   reveal_timer.Stop();
@@ -142,30 +132,15 @@ Result<VerifiedResults> Client::VerifyImpl(
   if (vo.tree_vos.size() != static_cast<size_t>(config.forest.num_trees)) {
     return Result<VerifiedResults>::Error("client: wrong number of tree VOs");
   }
-  std::vector<std::set<mrkd::ClusterId>> candidates(nq);
-  std::map<mrkd::ClusterId, crypto::Digest> list_digests;
-  crypto::DigestBuilder roots;
-  for (const Bytes& tree_vo : vo.tree_vos) {
-    ByteReader r(tree_vo);
-    mrkd::TreeVerifyOutput tv;
-    Status s = mrkd::VerifyTreeVo(r, dims, commitments, queries,
-                                  vo.thresholds_sq, config.share_nodes, &tv);
+  mrkd::ForestVerifyOutput forest;
+  {
+    Status s = mrkd::VerifyForestVo(vo.tree_vos, dims, commitments, queries,
+                                    vo.thresholds_sq, config.share_nodes,
+                                    &forest);
     if (!s.ok()) return s;
-    if (!r.AtEnd()) {
-      return Result<VerifiedResults>::Error("client: trailing tree VO bytes");
-    }
-    roots.AddDigest(tv.root);
-    for (size_t i = 0; i < nq; ++i) {
-      candidates[i].insert(tv.candidates[i].begin(), tv.candidates[i].end());
-    }
-    for (const auto& [c, d] : tv.list_digests) {
-      auto [it, inserted] = list_digests.emplace(c, d);
-      if (!inserted && it->second != d) {
-        return Result<VerifiedResults>::Error(
-            "client: conflicting list digests across trees");
-      }
-    }
   }
+  crypto::DigestBuilder roots;
+  for (const crypto::Digest& root : forest.roots) roots.AddDigest(root);
   crypto::RsaVerifier verifier(params_.public_key);
   out.root_digest = roots.Finalize();
   if (!verifier.Verify(out.root_digest, params_.root_signature)) {
@@ -179,27 +154,27 @@ Result<VerifiedResults> Client::VerifyImpl(
   obs::ScopedTimer bovw_check_timer(met.bovw_check_us);
   std::vector<bovw::ClusterId> assignment(nq);
   for (size_t i = 0; i < nq; ++i) {
-    if (candidates[i].empty()) {
-      return Result<VerifiedResults>::Error(
-          "client: no candidate cluster for a feature vector");
-    }
+    const uint8_t* is_candidate = forest.candidate.data() + i * reveals.size();
     // Nearest among fully revealed candidates.
+    bool any_candidate = false;
     bool have_full = false;
     double best = 0;
     mrkd::ClusterId best_c = 0;
-    for (mrkd::ClusterId c : candidates[i]) {
-      auto it = reveal_of.find(c);
-      if (it == reveal_of.end()) {
-        return Result<VerifiedResults>::Error(
-            "client: candidate missing from reveal section");
-      }
-      if (!it->second->full) continue;
-      double d = ann::SquaredL2(queries[i], it->second->coords.data(), dims);
-      if (!have_full || d < best || (d == best && c < best_c)) {
+    for (size_t e = 0; e < reveals.size(); ++e) {
+      if (!is_candidate[e]) continue;
+      any_candidate = true;
+      const mrkd::ClusterReveal& rev = reveals[e];
+      if (!rev.full) continue;
+      double d = ann::SquaredL2(queries[i], rev.coords.data(), dims);
+      if (!have_full || d < best || (d == best && rev.id < best_c)) {
         best = d;
-        best_c = c;
+        best_c = rev.id;
         have_full = true;
       }
+    }
+    if (!any_candidate) {
+      return Result<VerifiedResults>::Error(
+          "client: no candidate cluster for a feature vector");
     }
     if (!have_full) {
       return Result<VerifiedResults>::Error(
@@ -210,11 +185,11 @@ Result<VerifiedResults> Client::VerifyImpl(
           "client: assigned cluster outside the search threshold");
     }
     // Every partially revealed candidate must be provably farther.
-    for (mrkd::ClusterId c : candidates[i]) {
-      const mrkd::ClusterReveal* rev = reveal_of[c];
-      if (rev->full) continue;
-      double lb = mrkd::PartialDistanceSq(queries[i], rev->dim_indices,
-                                          rev->dim_values);
+    for (size_t e = 0; e < reveals.size(); ++e) {
+      const mrkd::ClusterReveal& rev = reveals[e];
+      if (!is_candidate[e] || rev.full) continue;
+      double lb = mrkd::PartialDistanceSq(queries[i], rev.dim_indices,
+                                          rev.dim_values);
       if (lb <= best) {
         return Result<VerifiedResults>::Error(
             "client: partial candidate not provably farther than assignment");
@@ -245,12 +220,13 @@ Result<VerifiedResults> Client::VerifyImpl(
   // ones. Every support cluster is an assigned cluster, hence a candidate,
   // hence present in some revealed leaf.
   for (const auto& [c, digest] : inv.list_digests) {
-    auto it = list_digests.find(c);
-    if (it == list_digests.end()) {
+    const uint32_t e = commitments.Find(c);
+    if (e == mrkd::CommitmentTable::kNotFound ||
+        !forest.list_digests[e].has_value()) {
       return Result<VerifiedResults>::Error(
           "client: support cluster not authenticated by any MRKD leaf");
     }
-    if (it->second != digest) {
+    if (*forest.list_digests[e] != digest) {
       return Result<VerifiedResults>::Error(
           "client: inverted-list digest mismatch (tampered posting data)");
     }
@@ -260,11 +236,33 @@ Result<VerifiedResults> Client::VerifyImpl(
 
   // ---- Step 5: image payload signatures ----
   obs::ScopedTimer sig_timer(met.sig_verify_us);
-  for (const ResultImage& ri : vo.results) {
-    if (!config.sign_images && ri.signature.empty()) continue;  // bench mode
-    if (!verifier.Verify(ImageDigest(ri.id, ri.data), ri.signature)) {
-      return Result<VerifiedResults>::Error(
-          "client: image signature verification failed");
+  {
+    // Eq. (15) digests h(id | h(payload)) of every signed result, both
+    // rounds batched across results.
+    std::vector<const ResultImage*> signed_results;
+    std::vector<BytesView> payloads;
+    for (const ResultImage& ri : vo.results) {
+      if (!config.sign_images && ri.signature.empty()) continue;  // bench mode
+      signed_results.push_back(&ri);
+      payloads.emplace_back(ri.data);
+    }
+    const size_t n = signed_results.size();
+    std::vector<crypto::Digest> digests(n);
+    crypto::HashBatch(payloads.data(), digests.data(), n);
+    constexpr size_t kImagePreimage = 8 + crypto::kDigestSize;
+    std::vector<uint8_t> preimages(n * kImagePreimage);
+    for (size_t i = 0; i < n; ++i) {
+      uint8_t* p = preimages.data() + i * kImagePreimage;
+      StoreU64(p, signed_results[i]->id);
+      std::memcpy(p + 8, digests[i].bytes.data(), crypto::kDigestSize);
+    }
+    crypto::HashStridedBatch(preimages.data(), kImagePreimage, digests.data(),
+                             n);
+    for (size_t i = 0; i < n; ++i) {
+      if (!verifier.Verify(digests[i], signed_results[i]->signature)) {
+        return Result<VerifiedResults>::Error(
+            "client: image signature verification failed");
+      }
     }
   }
 

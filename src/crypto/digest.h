@@ -50,11 +50,7 @@ inline void PutDigest(ByteWriter& w, const Digest& d) {
 }
 
 inline Status GetDigest(ByteReader& r, Digest* out) {
-  Bytes b;
-  Status s = r.GetBytes(kDigestSize, &b);
-  if (!s.ok()) return s;
-  std::memcpy(out->bytes.data(), b.data(), kDigestSize);
-  return Status::Ok();
+  return r.GetBytes(kDigestSize, out->bytes.data());
 }
 
 struct DigestHasher {

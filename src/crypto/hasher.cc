@@ -44,36 +44,47 @@ void PairBatch(const uint8_t* prefix, const Digest* left, const Digest* right,
   }
 }
 
-}  // namespace
-
-void HashBatch(const BytesView* in, Digest* out, size_t n) {
+// Shared scheduling for the variable-length batch forms: `msg(i)` yields
+// message i; a lane that drains is refilled with the next pending message.
+template <typename MsgAt>
+void ScheduleBatch(const MsgAt& msg, Digest* out, size_t n) {
   if (n == 0) return;
   if (n == 1) {
-    out[0] = Sha3(in[0].data, in[0].size);
+    const BytesView m = msg(0);
+    out[0] = Sha3(m.data, m.size);
     return;
   }
   Sha3x4 eng;
   size_t msg_of[Sha3x4::kLanes] = {0, 0, 0, 0};
   size_t next = 0;
   size_t pending = n;
-  for (int j = 0; j < Sha3x4::kLanes && next < n; ++j) {
-    msg_of[j] = next;
-    eng.Start(j, in[next].data, in[next].size);
-    ++next;
-  }
+  auto start = [&](int j) {
+    const BytesView m = msg(next);
+    msg_of[j] = next++;
+    eng.Start(j, m.data, m.size);
+  };
+  for (int j = 0; j < Sha3x4::kLanes && next < n; ++j) start(j);
   while (pending > 0) {
     eng.Step();
     for (int j = 0; j < Sha3x4::kLanes; ++j) {
       if (!eng.done(j)) continue;
       out[msg_of[j]] = eng.Take(j);
       --pending;
-      if (next < n) {
-        msg_of[j] = next;
-        eng.Start(j, in[next].data, in[next].size);
-        ++next;
-      }
+      if (next < n) start(j);
     }
   }
+}
+
+}  // namespace
+
+void HashBatch(const BytesView* in, Digest* out, size_t n) {
+  ScheduleBatch([in](size_t i) { return in[i]; }, out, n);
+}
+
+void HashStridedBatch(const uint8_t* data, size_t len, Digest* out, size_t n) {
+  ScheduleBatch(
+      [data, len](size_t i) { return BytesView(data + i * len, len); }, out,
+      n);
 }
 
 void HashPairBatch(const Digest* left, const Digest* right, Digest* out,

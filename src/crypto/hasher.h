@@ -95,12 +95,17 @@ inline Digest HashPair(const Digest& left, const Digest& right) {
 // messages at a time on the lane-interleaved Keccak (Sha3x4). Inputs of any
 // lengths mix freely; a lane that drains early is refilled from the pending
 // messages. Use these for the independent-hash inner loops of ADS
-// construction (Merkle levels, leaf payloads, commitments); for dependent
-// chains, drive Sha3x4 directly.
+// construction and client verification (Merkle levels, leaf payloads,
+// commitments, MRKD node levels); for dependent chains, drive Sha3x4
+// directly.
 // ---------------------------------------------------------------------------
 
 // out[i] = Sha3(in[i]) for i in [0, n).
 void HashBatch(const BytesView* in, Digest* out, size_t n);
+
+// out[i] = Sha3(data + i * len, len) for i in [0, n): n equal-length
+// preimages laid back to back in one caller-assembled buffer.
+void HashStridedBatch(const uint8_t* data, size_t len, Digest* out, size_t n);
 
 // out[i] = HashPair(left[i], right[i]) for i in [0, n).
 void HashPairBatch(const Digest* left, const Digest* right, Digest* out,

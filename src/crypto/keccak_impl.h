@@ -61,7 +61,33 @@ inline U64x2 AndNotL(U64x2 a, U64x2 b) {
 }
 inline U64x2 XorRc(U64x2 a, uint64_t rc) { return {a.v0 ^ rc, a.v1 ^ rc}; }
 
-// The full permutation. Theta and chi are unrolled; rho+pi runs in place.
+// One step of rho+pi along the permutation cycle, recursing through the
+// rest at compile time: every state index is a constant, so the compiler
+// can keep the 25 lanes in registers instead of an indexed stack array.
+template <int I, typename L>
+inline void RhoPiStep(L a[25], L& t) {
+  if constexpr (I < kKeccakRounds) {
+    constexpr int j = kKeccakPiln[I];
+    L tmp = a[j];
+    a[j] = RotlL(t, kKeccakRotc[I]);
+    t = tmp;
+    RhoPiStep<I + 1>(a, t);
+  }
+}
+
+// Chi on the row starting at lane Y.
+template <int Y, typename L>
+inline void ChiRow(L a[25]) {
+  L b0 = a[Y], b1 = a[Y + 1], b2 = a[Y + 2], b3 = a[Y + 3], b4 = a[Y + 4];
+  a[Y] = b0 ^ AndNotL(b1, b2);
+  a[Y + 1] = b1 ^ AndNotL(b2, b3);
+  a[Y + 2] = b2 ^ AndNotL(b3, b4);
+  a[Y + 3] = b3 ^ AndNotL(b4, b0);
+  a[Y + 4] = b4 ^ AndNotL(b0, b1);
+}
+
+// The full permutation. Theta, rho+pi and chi are unrolled at compile
+// time; rho+pi runs in place.
 template <typename L>
 inline void KeccakPermute(L a[25]) {
   for (int round = 0; round < kKeccakRounds; ++round) {
@@ -104,22 +130,14 @@ inline void KeccakPermute(L a[25]) {
 
     // Rho and pi, in place along the permutation cycle.
     L t = a[1];
-    for (int i = 0; i < kKeccakRounds; ++i) {
-      const int j = kKeccakPiln[i];
-      L tmp = a[j];
-      a[j] = RotlL(t, kKeccakRotc[i]);
-      t = tmp;
-    }
+    RhoPiStep<0>(a, t);
 
     // Chi, row by row with five temporaries.
-    for (int y = 0; y < 25; y += 5) {
-      L b0 = a[y], b1 = a[y + 1], b2 = a[y + 2], b3 = a[y + 3], b4 = a[y + 4];
-      a[y] = b0 ^ AndNotL(b1, b2);
-      a[y + 1] = b1 ^ AndNotL(b2, b3);
-      a[y + 2] = b2 ^ AndNotL(b3, b4);
-      a[y + 3] = b3 ^ AndNotL(b4, b0);
-      a[y + 4] = b4 ^ AndNotL(b0, b1);
-    }
+    ChiRow<0>(a);
+    ChiRow<5>(a);
+    ChiRow<10>(a);
+    ChiRow<15>(a);
+    ChiRow<20>(a);
 
     // Iota.
     a[0] = XorRc(a[0], kKeccakRoundConstants[round]);

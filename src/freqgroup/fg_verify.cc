@@ -216,9 +216,8 @@ Status FgVerifyVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
     for (size_t g = pl.popped.size(); g-- > 0;) {
       chain = FgPostingDigest(pl.popped[g], chain);
     }
-    out->list_digests[pl.cluster] =
-        invindex::ListDigest(pl.weight, theta, chain);
-    out->weights[pl.cluster] = pl.weight;
+    out->list_digests.emplace_back(
+        pl.cluster, invindex::ListDigest(pl.weight, theta, chain));
     for (const auto& p : pl.popped) out->popped_postings += p.members.size();
 
     uint32_t freq = query_bovw.FrequencyOf(pl.cluster);

@@ -11,93 +11,48 @@ namespace imageproof::invindex {
 
 namespace {
 
-// Canonical little-endian stores for assembling posting preimages outside
-// DigestBuilder (same bytes AddU64/AddF64 stream into the sponge).
-void PutU64Le(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-void PutF64Le(uint8_t* p, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64Le(p, bits);
-}
-
-// Posting preimage: id(8) | impact(8) | next(32) — one sponge block.
-constexpr size_t kPostingMsg = 8 + 8 + crypto::kDigestSize;
-
-// Walks the backward digest chains of a range of lists four at a time on
-// the lane-interleaved Keccak. A chain is inherently sequential (posting i
-// needs digest i+1), but chains of different lists are independent, so each
-// lane carries one list and every Step() completes one posting per lane —
-// the same digests as the serial loop at ~4x the permutation throughput.
-// A drained lane picks up the next list in the range.
+// Digests every posting of a range of lists (chains interleaved four-wide).
 void ChainLists(MerkleInvertedList** lists, size_t n) {
-  struct Lane {
-    MerkleInvertedList* list = nullptr;
-    size_t i = 0;  // postings remaining (current posting is i - 1)
-    Digest next = Digest::Zero();
-  };
-  crypto::Sha3x4 eng;
-  Lane lanes[crypto::Sha3x4::kLanes];
-  uint8_t buf[crypto::Sha3x4::kLanes][kPostingMsg];
-  size_t next_list = 0;
-  int active = 0;
-
-  auto start_msg = [&](int j) {
-    Lane& lane = lanes[j];
-    const MerklePosting& p = lane.list->postings[lane.i - 1];
-    PutU64Le(buf[j], p.id);
-    PutF64Le(buf[j] + 8, p.impact);
-    std::memcpy(buf[j] + 16, lane.next.bytes.data(), crypto::kDigestSize);
-    eng.Start(j, buf[j], kPostingMsg);
-  };
-  auto feed = [&](int j) -> bool {
-    while (next_list < n) {
-      MerkleInvertedList* l = lists[next_list++];
-      if (l->postings.empty()) continue;
-      lanes[j] = Lane{l, l->postings.size(), Digest::Zero()};
-      start_msg(j);
-      return true;
-    }
-    return false;
-  };
-
-  for (int j = 0; j < crypto::Sha3x4::kLanes; ++j) {
-    if (feed(j)) ++active;
-  }
-  while (active > 0) {
-    eng.Step();
-    for (int j = 0; j < crypto::Sha3x4::kLanes; ++j) {
-      if (!eng.done(j)) continue;
-      Lane& lane = lanes[j];
-      lane.next = eng.Take(j);
-      lane.list->postings[lane.i - 1].digest = lane.next;
-      if (--lane.i > 0) {
-        start_msg(j);
-      } else if (!feed(j)) {
-        --active;
-      }
-    }
-  }
+  HashPostingChains(
+      n, [lists](size_t i) { return lists[i]->postings.size(); },
+      [](size_t) { return Digest::Zero(); },
+      [lists](size_t i, size_t j) {
+        const MerklePosting& p = lists[i]->postings[j];
+        return std::pair<ImageId, double>(p.id, p.impact);
+      },
+      [lists](size_t i, size_t j, const Digest& d) {
+        lists[i]->postings[j].digest = d;
+      });
 }
 
 }  // namespace
 
+void PutPostingPreimage(uint8_t* out, ImageId id, double impact,
+                        const Digest& next) {
+  StoreU64(out, id);
+  StoreF64(out + 8, impact);
+  std::memcpy(out + 16, next.bytes.data(), crypto::kDigestSize);
+}
+
+void PutListPreimage(uint8_t* out, double weight, const Digest& theta_digest,
+                     const Digest& first_posting_digest) {
+  StoreF64(out, weight);
+  std::memcpy(out + 8, theta_digest.bytes.data(), crypto::kDigestSize);
+  std::memcpy(out + 8 + crypto::kDigestSize, first_posting_digest.bytes.data(),
+              crypto::kDigestSize);
+}
+
 Digest PostingDigest(ImageId id, double impact, const Digest& next) {
-  return crypto::DigestBuilder()
-      .AddU64(id)
-      .AddF64(impact)
-      .AddDigest(next)
-      .Finalize();
+  uint8_t preimage[kPostingPreimageSize];
+  PutPostingPreimage(preimage, id, impact, next);
+  return crypto::Sha3(preimage, sizeof(preimage));
 }
 
 Digest ListDigest(double weight, const Digest& theta_digest,
                   const Digest& first_posting_digest) {
-  return crypto::DigestBuilder()
-      .AddF64(weight)
-      .AddDigest(theta_digest)
-      .AddDigest(first_posting_digest)
-      .Finalize();
+  uint8_t preimage[kListPreimageSize];
+  PutListPreimage(preimage, weight, theta_digest, first_posting_digest);
+  return crypto::Sha3(preimage, sizeof(preimage));
 }
 
 MerkleInvertedIndex MerkleInvertedIndex::Build(

@@ -20,10 +20,12 @@
 #define IMAGEPROOF_INVINDEX_MERKLE_INV_INDEX_H_
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "bovw/bovw.h"
 #include "crypto/digest.h"
+#include "crypto/sha3.h"
 #include "cuckoo/cuckoo_filter.h"
 
 namespace imageproof::invindex {
@@ -45,6 +47,78 @@ Digest PostingDigest(ImageId id, double impact, const Digest& next);
 // h(w | h(Theta) | h_pos1) per Definition 5.
 Digest ListDigest(double weight, const Digest& theta_digest,
                   const Digest& first_posting_digest);
+
+// The preimages of the two digests above, for batch hashing: a posting is
+// id(8) | impact(8) | next(32) and a list w(8) | h(Theta)(32) | h_pos1(32),
+// each one sponge block.
+inline constexpr size_t kPostingPreimageSize = 8 + 8 + crypto::kDigestSize;
+inline constexpr size_t kListPreimageSize = 8 + 2 * crypto::kDigestSize;
+void PutPostingPreimage(uint8_t* out, ImageId id, double impact,
+                        const Digest& next);
+void PutListPreimage(uint8_t* out, double weight, const Digest& theta_digest,
+                     const Digest& first_posting_digest);
+
+// Walks n independent backward posting chains four at a time on the
+// lane-interleaved Keccak. A chain is inherently sequential (posting j
+// needs digest j+1), but different chains are independent, so each lane
+// carries one chain and every Step() completes one posting per lane — the
+// same digests as the serial PostingDigest loop. A drained lane picks up
+// the next chain.
+//   `length(i)`        postings in chain i;
+//   `tail(i)`          the digest chained after its last posting;
+//   `posting(i, j)`    its j-th posting as {id, impact};
+//   `emit(i, j, d)`    receives posting j's digest, for j = length(i) - 1
+//                      down to 0 (d at j = 0 is the chain head).
+template <typename Length, typename Tail, typename Posting, typename Emit>
+void HashPostingChains(size_t n, const Length& length, const Tail& tail,
+                       const Posting& posting, const Emit& emit) {
+  struct Lane {
+    size_t chain = 0;
+    size_t i = 0;  // postings remaining (current posting is i - 1)
+    Digest next = Digest::Zero();
+  };
+  crypto::Sha3x4 eng;
+  Lane lanes[crypto::Sha3x4::kLanes];
+  uint8_t buf[crypto::Sha3x4::kLanes][kPostingPreimageSize];
+  size_t next_chain = 0;
+  int active = 0;
+
+  auto start_msg = [&](int j) {
+    const Lane& lane = lanes[j];
+    const std::pair<ImageId, double> p = posting(lane.chain, lane.i - 1);
+    PutPostingPreimage(buf[j], p.first, p.second, lane.next);
+    eng.Start(j, buf[j], kPostingPreimageSize);
+  };
+  auto feed = [&](int j) -> bool {
+    while (next_chain < n) {
+      const size_t c = next_chain++;
+      const size_t len = length(c);
+      if (len == 0) continue;
+      lanes[j] = Lane{c, len, tail(c)};
+      start_msg(j);
+      return true;
+    }
+    return false;
+  };
+
+  for (int j = 0; j < crypto::Sha3x4::kLanes; ++j) {
+    if (feed(j)) ++active;
+  }
+  while (active > 0) {
+    eng.Step();
+    for (int j = 0; j < crypto::Sha3x4::kLanes; ++j) {
+      if (!eng.done(j)) continue;
+      Lane& lane = lanes[j];
+      lane.next = eng.Take(j);
+      emit(lane.chain, lane.i - 1, lane.next);
+      if (--lane.i > 0) {
+        start_msg(j);
+      } else if (!feed(j)) {
+        --active;
+      }
+    }
+  }
+}
 
 struct MerkleInvertedList {
   ClusterId cluster = 0;

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "common/varint_kernels.h"
-#include "crypto/sha3.h"
+#include "crypto/hasher.h"
 #include "invindex/merkle_inv_index.h"
 #include "invindex/vo_compress.h"
 
@@ -162,31 +162,73 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
     }
   }
 
+  // Reconstruct every h_Gamma. The digests are independent across lists:
+  // the posting chains run interleaved on the 4-way Keccak, then the
+  // filter-state digests h(Theta) and the list preimages go through one
+  // batch each.
+  const size_t n = lists.size();
+  std::vector<std::optional<cuckoo::CuckooFilter>> filters(n);
+  std::vector<Digest> thetas(n, Digest::Zero());
+  std::vector<BytesView> filter_msgs;
+  std::vector<uint32_t> filter_lists;  // list index of each filter_msgs entry
+  for (size_t i = 0; i < n; ++i) {
+    const ParsedList& pl = lists[i];
+    if (pl.weight < 0) return Status::Error("inv: negative weight");
+    if (!expect_filters) continue;
+    if (!pl.filter_included) {
+      thetas[i] = pl.theta_digest;
+      continue;
+    }
+    auto f = cuckoo::CuckooFilter::Deserialize(pl.filter_bytes);
+    if (!f.ok()) return f.status();
+    filters[i] = std::move(*f);
+    // Deserialize accepts only the canonical encoding (it is the exact
+    // inverse of Serialize), so h(Theta) = StateDigest() is the digest of
+    // the shipped bytes themselves.
+    filter_msgs.emplace_back(pl.filter_bytes);
+    filter_lists.push_back(static_cast<uint32_t>(i));
+  }
+  {
+    std::vector<Digest> digests(filter_msgs.size());
+    crypto::HashBatch(filter_msgs.data(), digests.data(), filter_msgs.size());
+    for (size_t j = 0; j < digests.size(); ++j) {
+      thetas[filter_lists[j]] = digests[j];
+    }
+  }
+  std::vector<Digest> heads(n);
+  for (size_t i = 0; i < n; ++i) {
+    heads[i] = lists[i].has_remaining ? lists[i].first_remaining
+                                      : Digest::Zero();
+  }
+  HashPostingChains(
+      n, [&lists](size_t i) { return lists[i].popped.size(); },
+      [&heads](size_t i) { return heads[i]; },
+      [&lists](size_t i, size_t j) { return lists[i].popped[j]; },
+      [&heads](size_t i, size_t j, const Digest& d) {
+        if (j == 0) heads[i] = d;
+      });
+  {
+    std::vector<uint8_t> preimages(n * kListPreimageSize);
+    for (size_t i = 0; i < n; ++i) {
+      PutListPreimage(preimages.data() + i * kListPreimageSize,
+                      lists[i].weight, thetas[i], heads[i]);
+    }
+    std::vector<Digest> digests(n);
+    crypto::HashStridedBatch(preimages.data(), kListPreimageSize,
+                             digests.data(), n);
+    out->list_digests.clear();
+    out->list_digests.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      out->list_digests.emplace_back(lists[i].cluster, digests[i]);
+    }
+  }
+
   const double norm = query_bovw.L2Norm();
   std::vector<BoundsList> bounds_lists;
   std::vector<const ParsedList*> relevant;  // aligned with bounds_lists
 
-  for (const ParsedList& pl : lists) {
-    // Reconstruct h_Gamma.
-    if (pl.weight < 0) return Status::Error("inv: negative weight");
-    Digest theta = Digest::Zero();
-    std::optional<cuckoo::CuckooFilter> filter;
-    if (expect_filters) {
-      if (pl.filter_included) {
-        auto f = cuckoo::CuckooFilter::Deserialize(pl.filter_bytes);
-        if (!f.ok()) return f.status();
-        theta = f->StateDigest();
-        filter = std::move(*f);
-      } else {
-        theta = pl.theta_digest;
-      }
-    }
-    Digest chain = pl.has_remaining ? pl.first_remaining : Digest::Zero();
-    for (size_t j = pl.popped.size(); j-- > 0;) {
-      chain = PostingDigest(pl.popped[j].first, pl.popped[j].second, chain);
-    }
-    out->list_digests[pl.cluster] = ListDigest(pl.weight, theta, chain);
-    out->weights[pl.cluster] = pl.weight;
+  for (size_t i = 0; i < n; ++i) {
+    const ParsedList& pl = lists[i];
     out->popped_postings += pl.popped.size();
 
     uint32_t freq = query_bovw.FrequencyOf(pl.cluster);
@@ -216,7 +258,7 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
     BoundsList bl;
     bl.cluster = pl.cluster;
     bl.q_impact = q_impact;
-    bl.filter = std::move(filter);
+    bl.filter = std::move(filters[i]);
     bounds_lists.push_back(std::move(bl));
     relevant.push_back(&pl);
   }

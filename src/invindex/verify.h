@@ -17,7 +17,7 @@
 #ifndef IMAGEPROOF_INVINDEX_VERIFY_H_
 #define IMAGEPROOF_INVINDEX_VERIFY_H_
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -31,10 +31,10 @@ using crypto::Digest;
 struct InvVerifyResult {
   // Claimed results with their verified lower-bound scores, best first.
   std::vector<bovw::ScoredImage> topk;
-  // Reconstructed h_Gamma for every support cluster; the caller must match
-  // these against the digests authenticated by the MRKD-tree.
-  std::map<ClusterId, Digest> list_digests;
-  std::map<ClusterId, double> weights;  // w_c per support cluster
+  // Reconstructed h_Gamma for every support cluster, in VO (cluster) order;
+  // the caller must match these against the digests authenticated by the
+  // MRKD-tree.
+  std::vector<std::pair<ClusterId, Digest>> list_digests;
   size_t popped_postings = 0;
   // True when every claimed result's verified score is provably exact: no
   // unpopped suffix of any relevant list can still contain the image — its

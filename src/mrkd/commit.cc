@@ -1,6 +1,7 @@
 #include "mrkd/commit.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/parallel.h"
 #include "crypto/hasher.h"
@@ -30,6 +31,50 @@ std::vector<Bytes> BlockLeaves(const float* coords, size_t dims) {
   return leaves;
 }
 
+// Commitment preimage: mode(u8) | id(u32) | dims(u32) | body, where the
+// body is the coordinates (kFullVector) or the root of the coordinate-block
+// Merkle tree (kDimMerkle).
+constexpr size_t kCommitmentHeader = 1 + 4 + 4;
+
+size_t CommitmentPreimageSize(RevealMode mode, size_t dims) {
+  return kCommitmentHeader +
+         (mode == RevealMode::kFullVector ? 4 * dims : crypto::kDigestSize);
+}
+
+void PutCommitmentHeader(uint8_t* out, RevealMode mode, ClusterId id,
+                         size_t dims) {
+  out[0] = static_cast<uint8_t>(mode);
+  StoreU32(out + 1, id);
+  StoreU32(out + 5, static_cast<uint32_t>(dims));
+}
+
+// out[i] = the commitment of cluster ids[i] at coords[i], for i in [0, n):
+// the preimages are assembled back to back, a bounded chunk at a time, and
+// digested four at a time.
+void CommitmentsOf(RevealMode mode, const ClusterId* ids,
+                   const float* const* coords, size_t n, size_t dims,
+                   Digest* out) {
+  constexpr size_t kChunk = 64;
+  const size_t len = CommitmentPreimageSize(mode, dims);
+  std::vector<uint8_t> preimages(std::min(n, kChunk) * len);
+  for (size_t base = 0; base < n; base += kChunk) {
+    const size_t count = std::min(kChunk, n - base);
+    for (size_t i = 0; i < count; ++i) {
+      uint8_t* p = preimages.data() + i * len;
+      PutCommitmentHeader(p, mode, ids[base + i], dims);
+      p += kCommitmentHeader;
+      const float* c = coords[base + i];
+      if (mode == RevealMode::kFullVector) {
+        for (size_t d = 0; d < dims; ++d) StoreF32(p + 4 * d, c[d]);
+      } else {
+        merkle::MerkleTree tree(BlockLeaves(c, dims));
+        std::memcpy(p, tree.root().bytes.data(), crypto::kDigestSize);
+      }
+    }
+    crypto::HashStridedBatch(preimages.data(), len, out + base, count);
+  }
+}
+
 }  // namespace
 
 std::vector<Bytes> CoordBlockLeaves(const float* coords, size_t dims) {
@@ -38,52 +83,24 @@ std::vector<Bytes> CoordBlockLeaves(const float* coords, size_t dims) {
 
 Digest ClusterCommitment(RevealMode mode, ClusterId id, const float* coords,
                          size_t dims) {
-  crypto::DigestBuilder b;
-  b.AddU8(static_cast<uint8_t>(mode));
-  b.AddU32(id);
-  b.AddU32(static_cast<uint32_t>(dims));
-  if (mode == RevealMode::kFullVector) {
-    for (size_t d = 0; d < dims; ++d) b.AddF32(coords[d]);
-  } else {
-    merkle::MerkleTree tree(BlockLeaves(coords, dims));
-    b.AddDigest(tree.root());
-  }
-  return b.Finalize();
+  Digest out;
+  CommitmentsOf(mode, &id, &coords, 1, dims, &out);
+  return out;
 }
 
 void ClusterCommitments(RevealMode mode, const ann::PointSet& points,
                         std::vector<Digest>* out) {
   const size_t n = points.size();
-  const size_t dims = points.dims();
   out->assign(n, Digest::Zero());
   ParallelChunks(n, /*chunk=*/256, [&](size_t begin, size_t end) {
-    const size_t count = end - begin;
-    // Assemble the commitment preimages into one buffer (canonical
-    // ByteWriter encodings — identical bytes to the DigestBuilder stream in
-    // ClusterCommitment), then digest them four at a time.
-    ByteWriter w;
-    std::vector<size_t> offsets(count + 1, 0);
-    for (size_t i = 0; i < count; ++i) {
-      const ClusterId c = static_cast<ClusterId>(begin + i);
-      const float* coords = points.row(begin + i);
-      w.PutU8(static_cast<uint8_t>(mode));
-      w.PutU32(c);
-      w.PutU32(static_cast<uint32_t>(dims));
-      if (mode == RevealMode::kFullVector) {
-        for (size_t d = 0; d < dims; ++d) w.PutF32(coords[d]);
-      } else {
-        merkle::MerkleTree tree(BlockLeaves(coords, dims));
-        crypto::PutDigest(w, tree.root());
-      }
-      offsets[i + 1] = w.bytes().size();
+    std::vector<ClusterId> ids(end - begin);
+    std::vector<const float*> rows(end - begin);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<ClusterId>(begin + i);
+      rows[i] = points.row(begin + i);
     }
-    std::vector<BytesView> msgs;
-    msgs.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      msgs.emplace_back(w.bytes().data() + offsets[i],
-                        offsets[i + 1] - offsets[i]);
-    }
-    crypto::HashBatch(msgs.data(), out->data() + begin, count);
+    CommitmentsOf(mode, ids.data(), rows.data(), ids.size(), points.dims(),
+                  out->data() + begin);
   });
 }
 
@@ -227,12 +244,43 @@ Status VerifyReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
   Status s = merkle::ReconstructSubsetRoot(num_blocks, block_indices, payloads,
                                            reveal.proof, &root);
   if (!s.ok()) return s;
-  crypto::DigestBuilder b;
-  b.AddU8(static_cast<uint8_t>(mode));
-  b.AddU32(reveal.id);
-  b.AddU32(static_cast<uint32_t>(dims));
-  b.AddDigest(root);
-  *commitment_out = b.Finalize();
+  uint8_t preimage[kCommitmentHeader + crypto::kDigestSize];
+  PutCommitmentHeader(preimage, mode, reveal.id, dims);
+  std::memcpy(preimage + kCommitmentHeader, root.bytes.data(),
+              crypto::kDigestSize);
+  *commitment_out = crypto::Sha3(preimage, sizeof(preimage));
+  return Status::Ok();
+}
+
+Status VerifyReveals(RevealMode mode, size_t dims,
+                     const std::vector<ClusterReveal>& reveals,
+                     std::vector<Digest>* commitments) {
+  commitments->assign(reveals.size(), Digest::Zero());
+  // Full reveals are digested together; partial reveals reconstruct their
+  // Merkle subset roots one by one.
+  std::vector<uint32_t> full;  // reveal index of each full reveal
+  std::vector<ClusterId> ids;
+  std::vector<const float*> coords;
+  for (size_t i = 0; i < reveals.size(); ++i) {
+    const ClusterReveal& rev = reveals[i];
+    if (!rev.full) {
+      Status s = VerifyReveal(mode, dims, rev, &(*commitments)[i]);
+      if (!s.ok()) return s;
+      continue;
+    }
+    if (rev.coords.size() != dims) {
+      return Status::Error("reveal: wrong coordinate count");
+    }
+    full.push_back(static_cast<uint32_t>(i));
+    ids.push_back(rev.id);
+    coords.push_back(rev.coords.data());
+  }
+  std::vector<Digest> digests(full.size());
+  CommitmentsOf(mode, ids.data(), coords.data(), full.size(), dims,
+                digests.data());
+  for (size_t j = 0; j < full.size(); ++j) {
+    (*commitments)[full[j]] = digests[j];
+  }
   return Status::Ok();
 }
 
@@ -276,9 +324,15 @@ Status DeserializeReveals(ByteReader& r, size_t dims,
     rev.full = full != 0;
     if (rev.full) {
       rev.coords.resize(dims);
+#if defined(__BYTE_ORDER__) && (__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__)
+      // The canonical encoding is the in-memory layout: one bulk copy.
+      s = r.GetBytes(4 * dims, reinterpret_cast<uint8_t*>(rev.coords.data()));
+      if (!s.ok()) return s;
+#else
       for (size_t d = 0; d < dims; ++d) {
         if (!(s = r.GetF32(&rev.coords[d])).ok()) return s;
       }
+#endif
     } else {
       uint64_t n;
       if (!(s = r.GetVarint(&n)).ok()) return s;

@@ -109,6 +109,14 @@ ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
 Status VerifyReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
                     Digest* commitment_out);
 
+// Client side, batch form over a whole reveal section:
+// (*commitments)[i] is VerifyReveal's digest for reveals[i], and the call
+// fails iff VerifyReveal fails for some reveal. The commitments of the
+// full reveals are hashed four at a time on the interleaved Keccak.
+Status VerifyReveals(RevealMode mode, size_t dims,
+                     const std::vector<ClusterReveal>& reveals,
+                     std::vector<Digest>* commitments);
+
 // Canonical serialization of the whole reveal section.
 void SerializeReveals(const std::vector<ClusterReveal>& reveals, ByteWriter& w);
 Status DeserializeReveals(ByteReader& r, size_t dims,

@@ -1,5 +1,7 @@
 #include "mrkd/mrkd_tree.h"
 
+#include <cstring>
+
 #include "common/parallel.h"
 #include "crypto/hasher.h"
 
@@ -57,13 +59,21 @@ size_t MrkdTree::RefreshListDigest(ClusterId c) {
   return rehashed;
 }
 
+void MrkdTree::PutInternal(uint8_t* out, uint32_t split_dim, float split_value,
+                           const Digest& left, const Digest& right) {
+  StoreU32(out, split_dim);
+  StoreF32(out + 4, split_value);
+  std::memcpy(out + 8, left.bytes.data(), crypto::kDigestSize);
+  std::memcpy(out + 8 + crypto::kDigestSize, right.bytes.data(),
+              crypto::kDigestSize);
+}
+
 void MrkdTree::HashInternal(crypto::DigestBuilder& b, uint32_t split_dim,
                             float split_value, const Digest& left,
                             const Digest& right) {
-  b.AddU32(split_dim);
-  b.AddF32(split_value);
-  b.AddDigest(left);
-  b.AddDigest(right);
+  uint8_t preimage[kInternalPreimageSize];
+  PutInternal(preimage, split_dim, split_value, left, right);
+  b.AddBytes(preimage, sizeof(preimage));
 }
 
 void MrkdTree::BuildNodeDigests() {
@@ -114,10 +124,11 @@ void MrkdTree::BuildNodeDigests() {
             crypto::PutDigest(w, (*list_digests_)[c]);
           }
         } else {
-          w.PutU32(static_cast<uint32_t>(n.split_dim));
-          w.PutF32(n.split_value);
-          crypto::PutDigest(w, node_digests_[n.left]);
-          crypto::PutDigest(w, node_digests_[n.right]);
+          uint8_t preimage[kInternalPreimageSize];
+          PutInternal(preimage, static_cast<uint32_t>(n.split_dim),
+                      n.split_value, node_digests_[n.left],
+                      node_digests_[n.right]);
+          w.PutBytes(preimage, sizeof(preimage));
         }
         offsets[i + 1] = w.bytes().size();
       }

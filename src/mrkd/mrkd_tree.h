@@ -45,7 +45,12 @@ class MrkdTree {
   }
 
   // Digest contribution of a splitting hyperplane (shared with the client's
-  // replay, which reconstructs internal digests from VO tokens).
+  // replay, which reconstructs internal digests from VO tokens):
+  // split_dim(u32) | split_value(f32) | left | right.
+  static constexpr size_t kInternalPreimageSize =
+      4 + 4 + 2 * crypto::kDigestSize;
+  static void PutInternal(uint8_t* out, uint32_t split_dim, float split_value,
+                          const Digest& left, const Digest& right);
   static void HashInternal(crypto::DigestBuilder& b, uint32_t split_dim,
                            float split_value, const Digest& left,
                            const Digest& right);

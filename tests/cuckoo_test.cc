@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "crypto/sha3.h"
 #include "cuckoo/counting_bloom.h"
 #include "cuckoo/cuckoo_filter.h"
 
@@ -101,6 +102,32 @@ TEST(CuckooFilterTest, DeserializeRejectsMalformed) {
   Bytes bad_params = data;
   bad_params[0] = 3;  // non-power-of-two bucket count
   EXPECT_FALSE(CuckooFilter::Deserialize(bad_params).ok());
+}
+
+// The client digests a shipped filter's bytes directly as h(Theta); that is
+// StateDigest() of the parsed filter only because Deserialize accepts
+// nothing but the canonical encoding. Any mutant that still parses must
+// re-serialize to exactly its own bytes.
+TEST(CuckooFilterTest, DeserializeAcceptsOnlyCanonicalBytes) {
+  for (uint32_t bits : {8u, 12u}) {
+    CuckooParams params = CuckooParams::ForMaxItems(64, bits);
+    CuckooFilter filter(params);
+    for (uint64_t i = 0; i < 40; ++i) ASSERT_TRUE(filter.Insert(i * 17 + 3));
+    const Bytes data = filter.Serialize();
+    Rng rng(bits);
+    size_t parsed = 0;
+    for (int t = 0; t < 4000; ++t) {
+      Bytes mutant = data;
+      const size_t pos = rng.NextBounded(mutant.size());
+      mutant[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
+      auto f = CuckooFilter::Deserialize(mutant);
+      if (!f.ok()) continue;
+      ++parsed;
+      ASSERT_EQ(f->Serialize(), mutant) << "byte " << pos;
+      EXPECT_EQ(f->StateDigest(), crypto::Sha3(mutant));
+    }
+    EXPECT_GT(parsed, 0u);
+  }
 }
 
 TEST(CuckooFilterTest, StateDigestTracksContent) {

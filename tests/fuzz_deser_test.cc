@@ -23,6 +23,7 @@
 #include "core/vo.h"
 #include "storage/package_store.h"
 #include "storage/serializer.h"
+#include "test_dir.h"
 #include "workload/synthetic.h"
 
 namespace imageproof {
@@ -204,7 +205,8 @@ TEST_F(FuzzDeserTest, MutatedPublicParamsNeverCrashes) {
 // kCorrupted or (rare no-op mutations aside) open into a package whose
 // mapped state still verifies as internally consistent.
 TEST_F(FuzzDeserTest, MutatedStoreFileNeverCrashes) {
-  std::string base_path = ::testing::TempDir() + "/fuzz_store_base.ipk";
+  test_util::TestDir tmp;
+  std::string base_path = tmp.File("fuzz_store_base.ipk");
   storage::WriteOptions wo;
   wo.page_size = 64;  // small file => mutations hit every layout region
   ASSERT_TRUE(storage::PackageStore::Write(base_path, *owner_.package, wo).ok());
@@ -223,7 +225,7 @@ TEST_F(FuzzDeserTest, MutatedStoreFileNeverCrashes) {
   // different deployment — from the foreign interchange bytes.
   auto foreign_pkg = storage::DeserializeSpPackage(foreign_pkg_bytes_);
   ASSERT_TRUE(foreign_pkg.ok());
-  std::string foreign_path = ::testing::TempDir() + "/fuzz_store_foreign.ipk";
+  std::string foreign_path = tmp.File("fuzz_store_foreign.ipk");
   ASSERT_TRUE(
       storage::PackageStore::Write(foreign_path, **foreign_pkg, wo).ok());
   Bytes foreign;
@@ -241,7 +243,7 @@ TEST_F(FuzzDeserTest, MutatedStoreFileNeverCrashes) {
   storage::OpenOptions opts;
   opts.params = &owner_.public_params;
   opts.deep_verify = true;  // also drag every payload through its digest
-  std::string mutant_path = ::testing::TempDir() + "/fuzz_store_mutant.ipk";
+  std::string mutant_path = tmp.File("fuzz_store_mutant.ipk");
   Rng rng(404);
   size_t parsed = 0, rejected = 0;
   const size_t iters = FuzzIters() / 3;
@@ -268,9 +270,6 @@ TEST_F(FuzzDeserTest, MutatedStoreFileNeverCrashes) {
         << "iteration " << t;
   }
   EXPECT_GT(rejected, iters / 2);
-  std::remove(base_path.c_str());
-  std::remove(foreign_path.c_str());
-  std::remove(mutant_path.c_str());
 }
 
 // Exhaustive single-byte coverage on top of the randomized sweeps: every

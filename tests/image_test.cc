@@ -7,6 +7,7 @@
 #include "image/image.h"
 #include "image/pgm_io.h"
 #include "image/synth.h"
+#include "test_dir.h"
 
 namespace imageproof::image {
 namespace {
@@ -89,12 +90,12 @@ TEST(PgmTest, RejectsBadMagicAndTruncation) {
 
 TEST(PgmTest, FileRoundTrip) {
   Image img = SynthesizeImage(99, 16, 16);
-  std::string path = ::testing::TempDir() + "/imageproof_pgm_test.pgm";
+  test_util::TestDir tmp;
+  std::string path = tmp.File("imageproof_pgm_test.pgm");
   ASSERT_TRUE(WritePgmFile(path, img).ok());
   Image back;
   ASSERT_TRUE(ReadPgmFile(path, &back).ok());
   EXPECT_EQ(back.pixels(), img.pixels());
-  std::remove(path.c_str());
 }
 
 TEST(SynthTest, DeterministicPerSeed) {

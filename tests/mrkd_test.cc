@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -63,6 +64,51 @@ struct Fixture {
     return out;
   }
 };
+
+// One tree's replay through the forest verifier.
+struct TreeReplay {
+  Status status;
+  Digest root = Digest::Zero();
+  std::vector<std::vector<ClusterId>> candidates;  // per query, sorted
+  std::map<ClusterId, Digest> list_digests;
+};
+
+TreeReplay ReplayTree(const Bytes& vo,
+                      const std::map<ClusterId, Digest>& commitments,
+                      const Fixture& f,
+                      const std::vector<double>& thresholds_sq, bool shared) {
+  std::vector<ClusterId> ids;
+  std::vector<Digest> digests;
+  for (const auto& [c, d] : commitments) {
+    ids.push_back(c);
+    digests.push_back(d);
+  }
+  CommitmentTable table;
+  TreeReplay out;
+  EXPECT_TRUE(table.Assign(ids, digests).ok());
+  ForestVerifyOutput v;
+  out.status = VerifyForestVo({vo}, kDims, table, f.queries, thresholds_sq,
+                              shared, &v);
+  if (!out.status.ok()) return out;
+  out.root = v.roots[0];
+  out.candidates.resize(f.queries.size());
+  for (size_t q = 0; q < f.queries.size(); ++q) {
+    for (size_t e = 0; e < ids.size(); ++e) {
+      if (v.candidate[q * ids.size() + e]) out.candidates[q].push_back(ids[e]);
+    }
+  }
+  for (size_t e = 0; e < ids.size(); ++e) {
+    if (v.list_digests[e].has_value()) {
+      out.list_digests[ids[e]] = *v.list_digests[e];
+    }
+  }
+  return out;
+}
+
+std::vector<ClusterId> Sorted(std::vector<ClusterId> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
 
 TEST(MrkdTreeTest, RootDigestDeterministic) {
   Fixture f1(50, 0, RevealMode::kFullVector, 3);
@@ -125,15 +171,12 @@ TEST(MrkdSearchTest, SharingShrinksVoWithManyQueries) {
 TEST(MrkdVerifyTest, HonestVoVerifiesAndRootMatches) {
   Fixture f(200, 8, RevealMode::kFullVector, 19);
   auto out = MrkdSearchShared(*f.mrkd, f.queries, f.thresholds_sq);
-  ByteReader r(out.vo);
-  TreeVerifyOutput v;
-  Status s = VerifyTreeVo(r, kDims, f.AllCommitments(), f.queries,
-                          f.thresholds_sq, /*shared=*/true, &v);
-  ASSERT_TRUE(s.ok()) << s.message();
-  EXPECT_TRUE(r.AtEnd());
+  TreeReplay v = ReplayTree(out.vo, f.AllCommitments(), f, f.thresholds_sq,
+                            /*shared=*/true);
+  ASSERT_TRUE(v.status.ok()) << v.status.message();
   EXPECT_EQ(v.root, f.mrkd->root_digest());
   for (size_t q = 0; q < 8; ++q) {
-    EXPECT_EQ(v.candidates[q], out.candidates[q]);
+    EXPECT_EQ(v.candidates[q], Sorted(out.candidates[q]));
   }
   // Every candidate's list digest was captured.
   for (const auto& cands : v.candidates) {
@@ -147,12 +190,9 @@ TEST(MrkdVerifyTest, HonestVoVerifiesAndRootMatches) {
 TEST(MrkdVerifyTest, UnsharedVoVerifies) {
   Fixture f(100, 4, RevealMode::kFullVector, 23);
   auto out = MrkdSearchUnshared(*f.mrkd, f.queries, f.thresholds_sq);
-  ByteReader r(out.vo);
-  TreeVerifyOutput v;
-  Status s = VerifyTreeVo(r, kDims, f.AllCommitments(), f.queries,
-                          f.thresholds_sq, /*shared=*/false, &v);
-  ASSERT_TRUE(s.ok()) << s.message();
-  EXPECT_TRUE(r.AtEnd());
+  TreeReplay v = ReplayTree(out.vo, f.AllCommitments(), f, f.thresholds_sq,
+                            /*shared=*/false);
+  ASSERT_TRUE(v.status.ok()) << v.status.message();
   EXPECT_EQ(v.root, f.mrkd->root_digest());
 }
 
@@ -167,18 +207,15 @@ TEST(MrkdVerifyTest, BitFlipsAnywhereAreRejected) {
     Bytes tampered = out.vo;
     size_t pos = rng.NextBounded(tampered.size());
     tampered[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
-    ByteReader r(tampered);
-    TreeVerifyOutput v;
-    Status s = VerifyTreeVo(r, kDims, commitments, f.queries, f.thresholds_sq,
-                            true, &v);
-    if (!s.ok() || !r.AtEnd()) {
+    TreeReplay v = ReplayTree(tampered, commitments, f, f.thresholds_sq, true);
+    if (!v.status.ok()) {
       ++rejected;
     } else if (v.root != f.mrkd->root_digest()) {
       ++root_mismatch;
     }
   }
-  // Every flip must be caught either by replay/parse errors or by a root
-  // digest mismatch.
+  // Every flip must be caught either by replay/parse errors (trailing bytes
+  // included) or by a root digest mismatch.
   EXPECT_EQ(rejected + root_mismatch, trials);
 }
 
@@ -189,11 +226,8 @@ TEST(MrkdVerifyTest, MissingCommitmentRejected) {
   // Remove one commitment that is needed.
   ASSERT_FALSE(out.candidates[0].empty());
   commitments.erase(out.candidates[0][0]);
-  ByteReader r(out.vo);
-  TreeVerifyOutput v;
-  Status s = VerifyTreeVo(r, kDims, commitments, f.queries, f.thresholds_sq,
-                          true, &v);
-  EXPECT_FALSE(s.ok());
+  TreeReplay v = ReplayTree(out.vo, commitments, f, f.thresholds_sq, true);
+  EXPECT_FALSE(v.status.ok());
 }
 
 TEST(MrkdVerifyTest, ThresholdMismatchChangesRootOrFails) {
@@ -202,12 +236,9 @@ TEST(MrkdVerifyTest, ThresholdMismatchChangesRootOrFails) {
   auto out = MrkdSearchShared(*f.mrkd, f.queries, f.thresholds_sq);
   auto bigger = f.thresholds_sq;
   for (auto& t : bigger) t *= 16.0;
-  ByteReader r(out.vo);
-  TreeVerifyOutput v;
-  Status s = VerifyTreeVo(r, kDims, f.AllCommitments(), f.queries, bigger,
-                          true, &v);
+  TreeReplay v = ReplayTree(out.vo, f.AllCommitments(), f, bigger, true);
   // With larger thresholds the client expects subtrees that the VO pruned.
-  EXPECT_FALSE(s.ok() && r.AtEnd() && v.root == f.mrkd->root_digest());
+  EXPECT_FALSE(v.status.ok() && v.root == f.mrkd->root_digest());
 }
 
 // --------------------------------------------------------------------------

@@ -32,6 +32,7 @@
 #include "storage/epoch_janitor.h"
 #include "storage/file_io.h"
 #include "storage/package_store.h"
+#include "test_dir.h"
 #include "workload/synthetic.h"
 
 namespace imageproof {
@@ -59,16 +60,15 @@ core::OwnerOutput BuildSmallDeployment(uint64_t seed = 7,
                                std::move(corpus), std::move(blobs));
 }
 
-std::string TempDir(const char* name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  (void)system(("rm -rf " + dir + " && mkdir -p " + dir).c_str());
-  return dir;
-}
-
 class ResilienceTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::FaultInjector::Global().DisarmAll(); }
   void TearDown() override { fault::FaultInjector::Global().DisarmAll(); }
+
+  // A fresh directory private to this test.
+  std::string TempDir(const char* name) { return tmp_.Dir(name); }
+
+  test_util::TestDir tmp_;
 };
 
 // ---------------------------------------------------------------------------

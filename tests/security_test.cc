@@ -7,7 +7,10 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -23,6 +26,7 @@
 #include "invindex/search.h"
 #include "invindex/verify.h"
 #include "mrkd/commit.h"
+#include "mrkd/search.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
@@ -617,6 +621,112 @@ TEST_F(EngineAdversaryTest, StaleSignatureRejected) {
   // Each verifies under its own snapshot.
   EXPECT_TRUE(new_client.Verify(features_, 5, fresh.response.vo).ok());
   EXPECT_TRUE(stale_client.Verify(features_, 5, honest_.response.vo).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Lane-position tampers. The client digests independent messages four at a
+// time on the interleaved Keccak (reveal commitments, MRKD nodes level by
+// level, posting chains list by list). A tamper must be caught whichever
+// lane — or lane refill — its message lands in.
+// ---------------------------------------------------------------------------
+
+// Byte offsets of tamper targets in one MRKD tree VO stream.
+struct TreeVoTargets {
+  // Height (leaf 0, internal 1 + max over children, pruned -1) -> offset
+  // of one internal node's f32 split value.
+  std::map<int, size_t> split_value_by_height;
+  // Depth from the root -> offset of one leaf's first list digest.
+  std::map<int, size_t> list_digest_by_depth;
+};
+
+// Walks one token subtree of an honest stream; returns its height.
+int WalkTreeVo(ByteReader& r, const uint8_t* base, int depth,
+               TreeVoTargets* out) {
+  uint8_t kind = 0;
+  EXPECT_TRUE(r.GetU8(&kind).ok());
+  if (kind == mrkd::kTokenPruned) {
+    EXPECT_TRUE(r.Skip(crypto::kDigestSize).ok());
+    return -1;
+  }
+  if (kind == mrkd::kTokenLeaf) {
+    uint64_t count = 0;
+    EXPECT_TRUE(r.GetVarint(&count).ok());
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t cid = 0;
+      EXPECT_TRUE(r.GetVarint(&cid).ok());
+      if (i == 0) out->list_digest_by_depth.emplace(depth, r.data() - base);
+      EXPECT_TRUE(r.Skip(crypto::kDigestSize).ok());
+    }
+    return 0;
+  }
+  uint64_t dim = 0;
+  EXPECT_TRUE(r.GetVarint(&dim).ok());
+  const size_t split_offset = r.data() - base;
+  float split_value = 0;
+  EXPECT_TRUE(r.GetF32(&split_value).ok());
+  const int left = WalkTreeVo(r, base, depth + 1, out);
+  const int right = WalkTreeVo(r, base, depth + 1, out);
+  const int height = 1 + std::max(left, right);
+  out->split_value_by_height.emplace(height, split_offset);
+  return height;
+}
+
+TEST_F(EngineAdversaryTest, RevealCoordinateAtEveryLaneRejected) {
+  const size_t dims = package_->codebook.dims();
+  ByteReader r(honest_.response.vo.reveal_section);
+  std::vector<mrkd::ClusterReveal> reveals;
+  ASSERT_TRUE(mrkd::DeserializeReveals(r, dims, &reveals).ok());
+  // Reveals 0..7 fill all four lanes twice: the second four are refills.
+  ASSERT_GE(reveals.size(), 8u);
+  for (size_t j = 0; j < 8; ++j) {
+    std::vector<mrkd::ClusterReveal> mutated = reveals;
+    ASSERT_TRUE(mutated[j].full);
+    float& coord = mutated[j].coords[j % dims];
+    coord = std::nextafter(coord, std::numeric_limits<float>::infinity());
+    ByteWriter w;
+    mrkd::SerializeReveals(mutated, w);
+    core::QueryVO tampered = honest_.response.vo;
+    tampered.reveal_section = w.Take();
+    EXPECT_FALSE(Accepts(tampered)) << "reveal " << j;
+  }
+}
+
+TEST_F(EngineAdversaryTest, TreeVoSplitValueAndListDigestAtEveryLevelRejected) {
+  const Bytes& stream = honest_.response.vo.tree_vos[0];
+  TreeVoTargets targets;
+  ByteReader r(stream);
+  WalkTreeVo(r, stream.data(), 0, &targets);
+  ASSERT_TRUE(r.AtEnd());
+  ASSERT_GE(targets.split_value_by_height.size(), 2u);
+  ASSERT_GE(targets.list_digest_by_depth.size(), 2u);
+  // The lowest mantissa bit: the smallest change to the hashed bytes.
+  for (const auto& [height, offset] : targets.split_value_by_height) {
+    core::QueryVO tampered = honest_.response.vo;
+    tampered.tree_vos[0][offset] ^= 0x01;
+    EXPECT_FALSE(Accepts(tampered)) << "split value at height " << height;
+  }
+  for (const auto& [depth, offset] : targets.list_digest_by_depth) {
+    core::QueryVO tampered = honest_.response.vo;
+    tampered.tree_vos[0][offset] ^= 0x01;
+    EXPECT_FALSE(Accepts(tampered)) << "list digest at depth " << depth;
+  }
+}
+
+TEST_F(EngineAdversaryTest, PoppedImpactInEachOfFirstFourListsRejected) {
+  const std::vector<List> lists = ParseVo(honest_.response.vo.inv_vo);
+  ASSERT_FALSE(lists.empty());
+  size_t mutated = 0;
+  for (size_t li = 0; li < lists.size() && mutated < 4; ++li) {
+    if (lists[li].popped.empty()) continue;
+    std::vector<List> copy = lists;
+    double& impact = copy[li].popped.back().impact;
+    impact = std::nextafter(impact, 0.0);
+    core::QueryVO tampered = honest_.response.vo;
+    tampered.inv_vo = Reserialize(copy);
+    EXPECT_FALSE(Accepts(tampered)) << "popped impact in list " << li;
+    ++mutated;
+  }
+  EXPECT_EQ(mutated, 4u);
 }
 
 // ---------------------------------------------------------------------------

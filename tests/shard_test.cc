@@ -32,14 +32,11 @@
 #include "shard/manifest.h"
 #include "shard/planner.h"
 #include "storage/file_io.h"
+#include "test_dir.h"
 #include "workload/synthetic.h"
 
 namespace imageproof {
 namespace {
-
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 void FlipByte(const std::string& path, size_t offset, uint8_t mask = 0xFF) {
   Bytes data;
@@ -148,7 +145,8 @@ TEST(ShardManifestTest, SaveLoadAndTamper) {
   crypto::RsaKeyPair keys = crypto::RsaKeyPair::Generate(512, rng);
   shard::ShardManifest m = MakeManifest();
   m.Sign(keys.private_key);
-  const std::string path = TempPath("shard_manifest_roundtrip");
+  test_util::TestDir tmp;
+  const std::string path = tmp.File("shard_manifest_roundtrip");
   ASSERT_TRUE(shard::SaveManifest(path, m).ok());
   Result<shard::ShardManifest> loaded = shard::LoadManifest(path);
   ASSERT_TRUE(loaded.ok());
@@ -529,6 +527,7 @@ TEST(ShardServingTest, RemoteCompositeServingOverTheWire) {
 }
 
 TEST(ShardServingTest, PersistenceRoundTripAndManifestTamper) {
+  test_util::TestDir tmp;  // outlives the engines mapping its epochs
   TestData d = MakeData();
   const std::vector<std::vector<float>> features = QueryFeatures(d);
 
@@ -537,8 +536,7 @@ TEST(ShardServingTest, PersistenceRoundTripAndManifestTamper) {
   const core::PublicParams base = dep.shards[0].public_params;
   const crypto::RsaKeyPair keys = dep.keys;
 
-  const std::string dir = TempPath("shard_persist");
-  std::filesystem::remove_all(dir);
+  const std::string dir = tmp.File("shard_persist");
   ASSERT_TRUE(shard::WriteShardedDeployment(dir, dep).ok());
 
   Result<shard::OpenedShardedDeployment> opened =

@@ -10,6 +10,7 @@
 #include "core/server.h"
 #include "core/update.h"
 #include "storage/serializer.h"
+#include "test_dir.h"
 #include "workload/synthetic.h"
 
 namespace imageproof::storage {
@@ -87,8 +88,9 @@ TEST(StorageTest, PublicParamsRoundTrip) {
 
 TEST(StorageTest, FileRoundTrip) {
   core::OwnerOutput owner = BuildSmallDeployment(core::Config::ImageProof());
-  std::string pkg_path = ::testing::TempDir() + "/imageproof_pkg.bin";
-  std::string params_path = ::testing::TempDir() + "/imageproof_params.bin";
+  test_util::TestDir tmp;
+  std::string pkg_path = tmp.File("imageproof_pkg.bin");
+  std::string params_path = tmp.File("imageproof_params.bin");
   ASSERT_TRUE(SaveSpPackage(pkg_path, *owner.package).ok());
   ASSERT_TRUE(SavePublicParams(params_path, owner.public_params).ok());
   auto pkg = LoadSpPackage(pkg_path);
@@ -96,8 +98,6 @@ TEST(StorageTest, FileRoundTrip) {
   auto params = LoadPublicParams(params_path);
   ASSERT_TRUE(params.ok()) << params.status().message();
   EXPECT_EQ((*pkg)->RootDigest(), owner.package->RootDigest());
-  std::remove(pkg_path.c_str());
-  std::remove(params_path.c_str());
 }
 
 TEST(StorageTest, MalformedInputsRejected) {
