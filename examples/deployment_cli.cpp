@@ -1,24 +1,21 @@
 // Command-line deployment tool: the owner/SP/client lifecycle as separate
 // process invocations with on-disk state — what an operational rollout of
-// ImageProof looks like.
+// ImageProof looks like. A deployment directory is an epoch directory
+// (storage/package_store.h): pkg-<epoch>.ipk files, a CURRENT pointer,
+// params.bin and the owner's key.
 //
 //   deployment_cli build <dir>    owner: build ADSs over a synthetic corpus,
-//                                 write package.bin + params.bin (+ key)
-//   deployment_cli insert <dir>   owner: add one image, re-sign, rewrite
-//   deployment_cli query <dir>    SP+client: answer a query from the stored
-//                                 package and verify it with stored params
-//
-// Disk-store modes (storage/package_store.h — the mmap serving format):
-//
-//   deployment_cli build-disk <dir>   owner: build the same deployment but
-//                                     publish it as an epoch directory
-//                                     (pkg-<epoch>.ipk + CURRENT), verified
-//                                     before the CURRENT flip
-//   deployment_cli query-disk <dir>   SP+client: mmap the CURRENT epoch
-//                                     (root signature checked against the
-//                                     mapped bytes), query, verify
-//   deployment_cli inspect <file>     print the on-disk layout of one
-//                                     .ipk file (header/TOC facts)
+//                                 write epoch 1, verify it from the mapping
+//                                 (root signature checked against the mapped
+//                                 bytes), then flip CURRENT; write params.bin
+//                                 (+ key)
+//   deployment_cli insert <dir>   owner: clone the CURRENT epoch into memory,
+//                                 add one image, re-sign, write and verify
+//                                 epoch e+1, then flip CURRENT
+//   deployment_cli query <dir>    SP+client: mmap the CURRENT epoch, answer a
+//                                 query and verify it with the stored params
+//   deployment_cli inspect <file> print the on-disk layout of one .ipk file
+//                                 (header/TOC facts)
 //
 // Sharded modes (src/shard — scatter-gather serving):
 //
@@ -37,7 +34,8 @@
 // check failed, the bytes were well-formed), a package that fails to parse
 // is 15 (kCorrupted).
 //
-// Run without arguments for a self-contained demo of all three steps.
+// Run without arguments for a self-contained demo of build, query, insert
+// and a re-query.
 // Pass --metrics (any position) to dump the process metrics registry as
 // JSON to stdout after the command finishes — SP stage timings, client
 // verify timings, and VO size histograms for whatever the invocation ran.
@@ -73,11 +71,10 @@ int FailWith(const char* step, const Status& status) {
   return net::ExitCodeForStatus(status);
 }
 
-std::string PackagePath(const std::string& dir) { return dir + "/package.bin"; }
 std::string ParamsPath(const std::string& dir) { return dir + "/params.bin"; }
 std::string KeyPath(const std::string& dir) { return dir + "/owner.key"; }
 
-// The synthetic deployment both build modes publish: 500 images over a
+// The synthetic deployment `build` publishes: 500 images over a
 // 256-word codebook, 512-bit RSA (toy-sized for demo speed).
 core::OwnerOutput BuildOwner() {
   core::Config config = core::Config::ImageProof();
@@ -106,13 +103,30 @@ Status SaveKey(const std::string& dir, const crypto::RsaPrivateKey& key) {
   return Status::Ok();
 }
 
+// Clone/verify/swap, on disk: writes `package` as `epoch` crash-safely,
+// reopens it from the mapping with the root signature checked against the
+// mapped bytes, and only then flips CURRENT to publish it.
+Status PublishEpoch(const std::string& dir, uint64_t epoch,
+                    const core::SpPackage& package,
+                    const core::PublicParams& params) {
+  auto path = storage::PackageStore::WriteEpoch(dir, epoch, package);
+  if (!path.ok()) return path.status();
+  storage::OpenOptions open_opts;
+  open_opts.params = &params;
+  auto reopened = storage::PackageStore::Open(*path, open_opts);
+  if (!reopened.ok()) return reopened.status();
+  return storage::PackageStore::SetCurrentEpoch(dir, epoch);
+}
+
 int Build(const std::string& dir) {
   (void)system(("mkdir -p " + dir).c_str());
   core::OwnerOutput owner = BuildOwner();
 
-  if (Status st = storage::SaveSpPackage(PackagePath(dir), *owner.package);
+  constexpr uint64_t kEpoch = 1;
+  if (Status st = PublishEpoch(dir, kEpoch, *owner.package,
+                               owner.public_params);
       !st.ok()) {
-    return FailWith("build: write package", st);
+    return FailWith("build: publish epoch", st);
   }
   if (Status st = storage::SavePublicParams(ParamsPath(dir),
                                             owner.public_params);
@@ -124,9 +138,9 @@ int Build(const std::string& dir) {
   if (Status st = SaveKey(dir, owner.private_key); !st.ok()) {
     return FailWith("build: write key", st);
   }
-  std::printf("build: %zu images, %zu words -> %s\n",
+  std::printf("build: %zu images, %zu words -> %s (epoch %llu)\n",
               owner.package->corpus.size(), owner.package->codebook.size(),
-              dir.c_str());
+              dir.c_str(), static_cast<unsigned long long>(kEpoch));
   return 0;
 }
 
@@ -152,33 +166,42 @@ Result<crypto::RsaPrivateKey> LoadKey(const std::string& dir) {
 }
 
 int Insert(const std::string& dir) {
-  auto pkg = storage::LoadSpPackage(PackagePath(dir));
-  if (!pkg.ok()) return FailWith("insert: load package", pkg.status());
   auto params = storage::LoadPublicParams(ParamsPath(dir));
   if (!params.ok()) return FailWith("insert: load params", params.status());
   auto key = LoadKey(dir);
   if (!key.ok()) return FailWith("insert: load key", key.status());
+  storage::OpenOptions open_opts;
+  open_opts.params = &*params;
+  uint64_t epoch = 0;
+  auto current = storage::PackageStore::OpenCurrent(dir, open_opts, &epoch);
+  if (!current.ok()) return FailWith("insert: open epoch", current.status());
+  // A mapped epoch is immutable: the update applies to an in-memory clone.
+  auto pkg = storage::DeserializeSpPackage(
+      storage::SerializeSpPackage(**current));
+  if (!pkg.ok()) return FailWith("insert: clone epoch", pkg.status());
+
   bovw::ImageId new_id = 1000000 + (*pkg)->corpus.size();
   bovw::BovwVector v = (*pkg)->corpus[3].second;  // near-duplicate of image 3
   auto stats = core::InsertImage(pkg->get(), *key, &*params, new_id, v,
                                  workload::GenerateImageBlob(new_id));
   if (!stats.ok()) return FailWith("insert", stats.status());
-  if (Status st = storage::SaveSpPackage(PackagePath(dir), **pkg); !st.ok()) {
-    return FailWith("insert: rewrite package", st);
+  if (Status st = PublishEpoch(dir, epoch + 1, **pkg, *params); !st.ok()) {
+    return FailWith("insert: publish epoch", st);
   }
   if (Status st = storage::SavePublicParams(ParamsPath(dir), *params);
       !st.ok()) {
     return FailWith("insert: rewrite params", st);
   }
   std::printf("insert: image %llu added (%zu lists updated, %zu MRKD nodes "
-              "rehashed), root re-signed\n",
+              "rehashed), root re-signed, epoch %llu\n",
               static_cast<unsigned long long>(new_id), stats->lists_updated,
-              stats->mrkd_nodes_rehashed);
+              stats->mrkd_nodes_rehashed,
+              static_cast<unsigned long long>(epoch + 1));
   return 0;
 }
 
-// The SP+client round shared by both storage backends: query image 3's
-// neighborhood, verify the VO against the published params.
+// The SP+client round: query image 3's neighborhood, verify the VO against
+// the published params.
 int RunQuery(const core::SpPackage* pkg, const core::PublicParams& params,
              const char* tag) {
   core::ServiceProvider sp(pkg);
@@ -202,60 +225,16 @@ int RunQuery(const core::SpPackage* pkg, const core::PublicParams& params,
 }
 
 int Query(const std::string& dir) {
-  auto pkg = storage::LoadSpPackage(PackagePath(dir));
-  if (!pkg.ok()) return FailWith("query: load package", pkg.status());
   auto params = storage::LoadPublicParams(ParamsPath(dir));
   if (!params.ok()) return FailWith("query: load params", params.status());
-  return RunQuery(pkg->get(), *params, "query");
-}
-
-// --- disk-store modes (storage/package_store.h) -------------------------
-
-int BuildDisk(const std::string& dir) {
-  (void)system(("mkdir -p " + dir).c_str());
-  core::OwnerOutput owner = BuildOwner();
-
-  // Clone/verify/swap, on disk: write epoch 1 crash-safely, reopen it from
-  // the mapping with the root signature checked against the mapped bytes,
-  // and only then flip CURRENT to publish it.
-  constexpr uint64_t kEpoch = 1;
-  auto path = storage::PackageStore::WriteEpoch(dir, kEpoch, *owner.package);
-  if (!path.ok()) return FailWith("build-disk: write epoch", path.status());
-  storage::OpenOptions open_opts;
-  open_opts.params = &owner.public_params;
-  auto reopened = storage::PackageStore::Open(*path, open_opts);
-  if (!reopened.ok()) {
-    return FailWith("build-disk: verify epoch", reopened.status());
-  }
-  if (Status st = storage::PackageStore::SetCurrentEpoch(dir, kEpoch);
-      !st.ok()) {
-    return FailWith("build-disk: flip CURRENT", st);
-  }
-  if (Status st = storage::SavePublicParams(ParamsPath(dir),
-                                            owner.public_params);
-      !st.ok()) {
-    return FailWith("build-disk: write params", st);
-  }
-  if (Status st = SaveKey(dir, owner.private_key); !st.ok()) {
-    return FailWith("build-disk: write key", st);
-  }
-  std::printf("build-disk: %zu images, %zu words -> %s (epoch %llu)\n",
-              owner.package->corpus.size(), owner.package->codebook.size(),
-              dir.c_str(), static_cast<unsigned long long>(kEpoch));
-  return 0;
-}
-
-int QueryDisk(const std::string& dir) {
-  auto params = storage::LoadPublicParams(ParamsPath(dir));
-  if (!params.ok()) return FailWith("query-disk: load params", params.status());
   storage::OpenOptions open_opts;
   open_opts.params = &*params;
   uint64_t epoch = 0;
   auto pkg = storage::PackageStore::OpenCurrent(dir, open_opts, &epoch);
-  if (!pkg.ok()) return FailWith("query-disk: open epoch", pkg.status());
-  std::printf("query-disk: serving epoch %llu from mmap\n",
+  if (!pkg.ok()) return FailWith("query: open epoch", pkg.status());
+  std::printf("query: serving epoch %llu from mmap\n",
               static_cast<unsigned long long>(epoch));
-  return RunQuery(pkg->get(), *params, "query-disk");
+  return RunQuery(pkg->get(), *params, "query");
 }
 
 int Inspect(const std::string& file) {
@@ -410,12 +389,6 @@ int main(int argc, char** argv) {
     if (cmd == "build") return DumpMetricsAndReturn(Build(dir), metrics);
     if (cmd == "insert") return DumpMetricsAndReturn(Insert(dir), metrics);
     if (cmd == "query") return DumpMetricsAndReturn(Query(dir), metrics);
-    if (cmd == "build-disk") {
-      return DumpMetricsAndReturn(BuildDisk(dir), metrics);
-    }
-    if (cmd == "query-disk") {
-      return DumpMetricsAndReturn(QueryDisk(dir), metrics);
-    }
     if (cmd == "inspect") return DumpMetricsAndReturn(Inspect(dir), metrics);
     if (cmd == "build-shards") {
       uint32_t n = 4;
@@ -433,8 +406,7 @@ int main(int argc, char** argv) {
       return DumpMetricsAndReturn(QueryShards(dir), metrics);
     }
     std::printf(
-        "usage: %s {build|insert|query|build-disk|query-disk} <dir> "
-        "[--metrics]\n"
+        "usage: %s {build|insert|query} <dir> [--metrics]\n"
         "       %s build-shards <dir> [num_shards] | query-shards <dir>\n"
         "       %s inspect <file.ipk> [--metrics]\n",
         argv[0], argv[0], argv[0]);
@@ -450,11 +422,5 @@ int main(int argc, char** argv) {
   std::printf("--- insert (near-duplicate of image 3) ---\n");
   if (int rc = Insert(dir)) return DumpMetricsAndReturn(rc, metrics);
   std::printf("--- query (after update; new image should appear) ---\n");
-  if (int rc = Query(dir)) return DumpMetricsAndReturn(rc, metrics);
-  // Same lifecycle on the mmap serving format.
-  std::string disk_dir = "/tmp/imageproof_deployment_disk";
-  std::printf("--- build-disk ---\n");
-  if (int rc = BuildDisk(disk_dir)) return DumpMetricsAndReturn(rc, metrics);
-  std::printf("--- query-disk (served from the mapped epoch) ---\n");
-  return DumpMetricsAndReturn(QueryDisk(disk_dir), metrics);
+  return DumpMetricsAndReturn(Query(dir), metrics);
 }

@@ -1,10 +1,12 @@
 // Network serving demo: core::QueryEngine behind the src/net wire protocol.
 //
-//   net_server <dir> [port]   serve a deployment_cli-built deployment dir
-//                             over TCP (port 0/omitted = ephemeral, printed
-//                             on stdout); runs until stdin closes. If the
-//                             dir contains owner.key, kInsert/kDelete frames
-//                             are accepted.
+//   net_server <dir> [port]   serve the CURRENT epoch of a
+//                             deployment_cli-built epoch directory over TCP
+//                             (port 0/omitted = ephemeral, printed on
+//                             stdout); runs until stdin closes. If the dir
+//                             contains owner.key, kInsert/kDelete frames are
+//                             accepted (applied in memory; the directory is
+//                             not rewritten).
 //
 // Run without arguments for a self-contained loopback demo: build a tiny
 // deployment in memory, serve it on an ephemeral port, then act as a remote
@@ -25,6 +27,7 @@
 #include "core/owner.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "storage/package_store.h"
 #include "storage/serializer.h"
 #include "workload/synthetic.h"
 
@@ -50,10 +53,12 @@ extern "C" void OnShutdownSignal(int) {
 }
 
 int ServeDir(const std::string& dir, uint16_t port) {
-  auto pkg = storage::LoadSpPackage(dir + "/package.bin");
-  if (!pkg.ok()) return Fail("load package", pkg.status());
   auto params = storage::LoadPublicParams(dir + "/params.bin");
   if (!params.ok()) return Fail("load params", params.status());
+  storage::OpenOptions open_opts;
+  open_opts.params = &*params;
+  auto pkg = storage::PackageStore::OpenCurrent(dir, open_opts);
+  if (!pkg.ok()) return Fail("open epoch", pkg.status());
 
   core::QueryEngine engine(
       std::shared_ptr<const core::SpPackage>(std::move(pkg).value()),

@@ -109,6 +109,8 @@ if [[ "$MODE" == "--metrics" ]]; then
   "./$BUILD_DIR/bench/abl_engine" --smoke \
     --json "$REPORT_DIR/BENCH_abl_engine.json" \
     || fail "abl_engine --smoke exited $?"
+  # The deployment_cli demo above left its epoch directory behind; query
+  # serves its CURRENT epoch.
   "./$BUILD_DIR/examples/deployment_cli" query /tmp/imageproof_deployment \
     --metrics > "$REPORT_DIR/cli_metrics.txt" \
     || fail "deployment_cli --metrics exited $?"

@@ -57,7 +57,7 @@ class RkdForest {
 
   const std::vector<std::unique_ptr<RkdTree>>& trees() const { return trees_; }
 
-  // Swaps in persisted tree structures (storage/serializer.h); the trees
+  // Swaps in persisted tree structures (storage/package_store.h); the trees
   // must index this forest's point set.
   void ReplaceTrees(std::vector<std::unique_ptr<RkdTree>> trees) {
     trees_ = std::move(trees);

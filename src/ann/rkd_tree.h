@@ -39,7 +39,7 @@ class RkdTree {
   // `max_leaf_size` caps the number of points per leaf (the paper uses 2).
   RkdTree(const PointSet& points, int max_leaf_size, uint64_t seed);
 
-  // Reconstructs a tree from persisted parts (storage/serializer.h). The
+  // Reconstructs a tree from persisted parts (storage/format.h). The
   // caller is responsible for structural validity.
   RkdTree(const PointSet& points, int max_leaf_size,
           std::vector<RkdNode> nodes, std::vector<int32_t> point_indices)

@@ -2,8 +2,9 @@
 //
 // A FaultInjector is a process-global registry of *sites* — string keys
 // compiled into production code paths at the exact points where hardware or
-// an adversary could bite: serializer output (bit flips, truncation), the
-// engine's clone/sign pipeline, artificial latency in queries and updates.
+// an adversary could bite: in-memory package images (bit flips,
+// truncation), the engine's clone/sign pipeline, artificial latency in
+// queries and updates.
 // Tests arm sites (probabilistically, on scripted hit indices, or always)
 // and production code asks `Fire(site)` at each pass; a disarmed injector
 // costs one relaxed atomic load per site, so the hooks stay compiled in for
@@ -17,8 +18,8 @@
 // invariants, not exact schedules.)
 //
 // Site keys currently wired in:
-//   storage.serialize.bitflip    flip one bit of a serialized package
-//   storage.serialize.truncate   drop the tail of a serialized package
+//   storage.serialize.bitflip    flip one bit of an in-memory .ipk image
+//   storage.serialize.truncate   drop the tail of an in-memory .ipk image
 //   storage.file.short_write     tear an atomic file write partway through
 //   storage.file.fsync_fail      fail the pre-rename data fsync
 //   storage.file.rename_fail     drop the atomic-rename publish step
@@ -254,9 +255,11 @@ inline void InjectLatency(const char* site) {
 }
 
 // Applies the armed serializer faults to an outgoing byte buffer: a single
-// deterministic bit flip and/or a tail truncation. The storage serializer
-// calls this on every package it emits, so the engine's clone path (and any
-// test that round-trips a package) sees realistic storage corruption.
+// deterministic bit flip and/or a tail truncation. SerializeSpPackage (the
+// in-memory form of the .ipk codec, storage/serializer.h) calls this on
+// every image it emits, so the engine's clone path (and any test that
+// round-trips a package) sees realistic storage corruption. Files written
+// by PackageStore::Write never pass through here.
 inline void InjectByteFaults(Bytes* data) {
   FaultInjector& fi = FaultInjector::Global();
   if (!fi.enabled() || data->empty()) return;

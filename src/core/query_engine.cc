@@ -279,11 +279,11 @@ Result<UpdateStats> QueryEngine::TryApplyUpdate(
   }
   fault::InjectLatency("engine.update.latency");
 
-  // Deep-clone via the canonical serializer: the load path re-derives every
-  // digest from raw data, so a corrupted in-memory package (or a storage
-  // fault on the wire bytes — see fault::InjectByteFaults in the
-  // serializer) fails here instead of being silently republished under a
-  // fresh signature.
+  // Deep-clone through the in-memory form of the .ipk codec: every byte of
+  // the image is checked and the decoder re-derives every index digest from
+  // raw data, so a corrupted in-memory package (or a storage fault on the
+  // image bytes — see fault::InjectByteFaults in SerializeSpPackage) fails
+  // here instead of being silently republished under a fresh signature.
   Result<std::unique_ptr<SpPackage>> clone =
       storage::DeserializeSpPackage(storage::SerializeSpPackage(*base->package));
   if (!clone.ok()) {
@@ -291,14 +291,14 @@ Result<UpdateStats> QueryEngine::TryApplyUpdate(
         Status::WithCode(clone.status().code(), "engine update: clone failed: " +
                                                     clone.status().message()));
   }
-  // A bit flip can survive parsing when it lands in content the load path
-  // takes at face value. The clone's re-derived root must match the root
-  // the served snapshot was signed under, or we would be about to sign
-  // corrupted state. The root transitively covers the codebook (cluster
-  // commitments), tree shapes, corpus/posting chains, weights, and filter
-  // geometry — but NOT the config header, image payloads, or per-image
-  // signatures, so those are compared against the base directly. Together
-  // the two checks cover every serialized byte of the clone.
+  // The clone's re-derived root must match the root the served snapshot
+  // was signed under, or we would be about to sign corrupted state (postings
+  // that no longer derive from the corpus show up here). The root
+  // transitively covers the codebook (cluster commitments), tree shapes,
+  // corpus/posting chains, weights, and filter geometry — but NOT the
+  // config header, image payloads, or per-image signatures, so those are
+  // compared against the base directly, independent of the codec's own
+  // digests.
   if ((*clone)->RootDigest() != base->package->RootDigest()) {
     return Result<UpdateStats>(Status::Corrupted(
         "engine update: cloned package root diverges from served snapshot"));

@@ -27,8 +27,8 @@
 //   * Snapshot isolation for updates: the engine serves from an immutable
 //     `shared_ptr<const Snapshot>` (package + the PublicParams whose root
 //     signature covers it). InsertImage/DeleteImage clone the current
-//     package (a serializer round-trip, which re-derives and thereby
-//     integrity-checks every digest), apply the update to the clone,
+//     package (an in-memory .ipk round-trip, which checks every byte and
+//     re-derives every digest), apply the update to the clone,
 //     re-sign, and atomically swap the pointer. In-flight queries keep
 //     verifying against the root they started under; their responses carry
 //     that snapshot so clients check the matching signature. Writers are

@@ -41,7 +41,7 @@ Result<UpdateStats> InsertImage(SpPackage* package,
                                 bovw::BovwVector bovw, Bytes image_data) {
   if (package->disk_backed()) {
     // Disk-backed packages are immutable views of a mapped file; the engine
-    // clones them into memory (via the serializer round-trip) before
+    // clones them into memory (via the in-memory .ipk round-trip) before
     // applying updates, so a direct mutation here is a caller bug.
     return Result<UpdateStats>::Error(
         "update: cannot mutate a disk-backed package in place");

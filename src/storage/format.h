@@ -1,6 +1,6 @@
-// Canonical on-disk codec for package components, shared by the interchange
-// serializer (storage/serializer.cc) and the mmap package store
-// (storage/package_store.cc).
+// Canonical on-disk codec for package components, used by the .ipk section
+// codec (storage/package_store.cc) and the public-parameter codec
+// (storage/serializer.cc).
 //
 // Every encoder/decoder here follows the hardened-deserialization discipline
 // of PR 4: decoders cap every allocation against the bytes actually present,
@@ -8,8 +8,8 @@
 // only), validate structural invariants (tree acyclicity, sorted BoVW
 // entries, filter geometry), and report every failure as
 // StatusCode::kCorrupted. Encodings are the canonical little-endian forms of
-// common/bytes.h — both persistence formats must produce bit-identical
-// component bytes so digests derived from them agree.
+// common/bytes.h, so digests derived from component bytes are pure
+// functions of the logical values.
 
 #ifndef IMAGEPROOF_STORAGE_FORMAT_H_
 #define IMAGEPROOF_STORAGE_FORMAT_H_

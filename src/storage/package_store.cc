@@ -7,10 +7,12 @@
 #include <utility>
 
 #include "common/fault.h"
+#include "crypto/hasher.h"
 #include "crypto/rsa.h"
 #include "crypto/sha3.h"
 #include "storage/file_io.h"
 #include "storage/format.h"
+#include "storage/serializer.h"
 
 namespace imageproof::storage {
 
@@ -57,13 +59,15 @@ Status Corrupt(const std::string& what) {
 }
 
 // ---------------------------------------------------------------------------
-// The mapped package: owns the mmap and serves image payloads out of it.
-// Published to SpPackage as its ImagePayloadSource; the package's `backing`
-// shared_ptr pins this object (and therefore the mapping) for as long as
-// any snapshot references the package.
+// The image records of a decoded package: payload extents into the blob
+// section of a byte image, each with the digest it is checked against on
+// every read. For a mapped package this is its ImagePayloadSource, owning
+// the mmap; the package's `backing` shared_ptr pins this object (and
+// therefore the mapping) for as long as any snapshot references the
+// package. The in-memory decode walks it once to copy the payloads out.
 // ---------------------------------------------------------------------------
 
-class MappedPackage final : public core::ImagePayloadSource {
+class StoredImages final : public core::ImagePayloadSource {
  public:
   struct Record {
     ImageId id = 0;
@@ -84,45 +88,61 @@ class MappedPackage final : public core::ImagePayloadSource {
         records_.begin(), records_.end(), id,
         [](const Record& r, ImageId key) { return r.id < key; });
     if (it == records_.end() || it->id != id) return Status::Ok();
-    const uint8_t* payload = BlobPtr(*it);
-    // The blob section is the one region open-time digests skip (hashing it
-    // would fault every page). Each access pays one hash over the payload
-    // it touches instead: a flipped bit in a stored image turns the query
-    // that would have served it into kCorrupted.
-    if (crypto::Sha3(payload, it->size) != it->digest) {
-      return Corrupt("image payload digest diverges (id " +
-                     std::to_string(id) + ")");
-    }
+    const size_t i = static_cast<size_t>(it - records_.begin());
+    if (Status s = CheckPayloads(i, i + 1); !s.ok()) return s;
     *found = true;
-    data->assign(payload, payload + it->size);
+    data->assign(BlobPtr(*it), BlobPtr(*it) + it->size);
     *signature = it->signature;
     return Status::Ok();
   }
 
   Status ForEach(const std::function<Status(ImageId, BytesView, BytesView)>&
                      fn) const override {
-    for (const Record& r : records_) {
-      const uint8_t* payload = BlobPtr(r);
-      if (crypto::Sha3(payload, r.size) != r.digest) {
-        return Corrupt("image payload digest diverges (id " +
-                       std::to_string(r.id) + ")");
-      }
-      if (Status s = fn(r.id, BytesView(payload, r.size),
-                        BytesView(r.signature));
-          !s.ok()) {
-        return s;
+    // Checked a chunk at a time, so a walk over a large mapping hashes each
+    // payload while its pages are still warm from the check.
+    constexpr size_t kChunk = 64;
+    for (size_t begin = 0; begin < records_.size(); begin += kChunk) {
+      const size_t end = std::min(records_.size(), begin + kChunk);
+      if (Status s = CheckPayloads(begin, end); !s.ok()) return s;
+      for (size_t i = begin; i < end; ++i) {
+        const Record& r = records_[i];
+        if (Status s = fn(r.id, BytesView(BlobPtr(r), r.size),
+                          BytesView(r.signature));
+            !s.ok()) {
+          return s;
+        }
       }
     }
     return Status::Ok();
   }
 
-  const uint8_t* BlobPtr(const Record& r) const {
-    return map_.data() + blobs_offset_ + r.offset;
+  // The blob section is the one region open-time digests skip (hashing it
+  // would fault every page). Each read pays one hash over the payloads it
+  // touches instead — four at a time on the lane-interleaved Keccak — so a
+  // flipped bit in a stored image turns the read that would have served it
+  // into kCorrupted.
+  Status CheckPayloads(size_t begin, size_t end) const {
+    std::vector<BytesView> payloads;
+    payloads.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      payloads.emplace_back(BlobPtr(records_[i]), records_[i].size);
+    }
+    std::vector<Digest> got(payloads.size());
+    crypto::HashBatch(payloads.data(), got.data(), payloads.size());
+    for (size_t i = begin; i < end; ++i) {
+      if (got[i - begin] != records_[i].digest) {
+        return Corrupt("image payload digest diverges (id " +
+                       std::to_string(records_[i].id) + ")");
+      }
+    }
+    return Status::Ok();
   }
 
-  MmapFile map_;
+  const uint8_t* BlobPtr(const Record& r) const { return blobs_ + r.offset; }
+
   std::vector<Record> records_;
-  uint64_t blobs_offset_ = 0;
+  const uint8_t* blobs_ = nullptr;  // start of the blob section
+  MmapFile map_;                    // set for a mapped package only
 };
 
 // ---------------------------------------------------------------------------
@@ -144,13 +164,13 @@ struct TocEntry {
   Digest digest;
 };
 
-// Parses and digest-checks header + TOC against the mapped bytes. Every
-// failure is kCorrupted: the file existed, so malformed metadata is torn or
+// Parses and digest-checks header + TOC against the byte image. Every
+// failure is kCorrupted: the bytes existed, so malformed metadata is torn or
 // tampered state, not an operational error.
-Status ReadHeaderAndToc(const MmapFile& map, Header* header,
+Status ReadHeaderAndToc(BytesView file, Header* header,
                         std::vector<TocEntry>* toc) {
-  if (map.size() < kHeaderBytes) return Corrupt("file shorter than header");
-  ByteReader r(map.data(), kHeaderBytes);
+  if (file.size < kHeaderBytes) return Corrupt("file shorter than header");
+  ByteReader r(file.data, kHeaderBytes);
   uint32_t magic = 0, version = 0, flags = 0, section_count = 0;
   Status s;
   if (!(s = r.GetU32(&magic)).ok()) return s;
@@ -176,22 +196,22 @@ Status ReadHeaderAndToc(const MmapFile& map, Header* header,
   // The header digest covers everything before it (including toc_digest),
   // so a flipped bit anywhere in the metadata chain is caught before any
   // field is trusted further.
-  if (crypto::Sha3(map.data(), kHeaderPrefixBytes + crypto::kDigestSize) !=
+  if (crypto::Sha3(file.data, kHeaderPrefixBytes + crypto::kDigestSize) !=
       header_digest) {
     return Corrupt("header digest diverges");
   }
-  if (header->file_size != map.size()) return Corrupt("file size diverges");
+  if (header->file_size != file.size) return Corrupt("file size diverges");
   if (header->toc_offset != kHeaderBytes ||
       header->toc_size != kNumSections * kTocEntryBytes ||
-      header->toc_offset + header->toc_size > map.size()) {
+      header->toc_offset + header->toc_size > file.size) {
     return Corrupt("bad TOC extent");
   }
-  if (crypto::Sha3(map.data() + header->toc_offset, header->toc_size) !=
+  if (crypto::Sha3(file.data + header->toc_offset, header->toc_size) !=
       toc_digest) {
     return Corrupt("TOC digest diverges");
   }
 
-  ByteReader tr(map.data() + header->toc_offset, header->toc_size);
+  ByteReader tr(file.data + header->toc_offset, header->toc_size);
   uint64_t prev_end = header->toc_offset + header->toc_size;
   toc->clear();
   for (size_t i = 0; i < kNumSections; ++i) {
@@ -206,16 +226,23 @@ Status ReadHeaderAndToc(const MmapFile& map, Header* header,
     if (e.offset % header->page_size != 0) {
       return Corrupt("section not page-aligned");
     }
-    if (e.offset < prev_end || e.size > map.size() ||
-        e.offset > map.size() - e.size) {
+    if (e.offset < prev_end || e.size > file.size ||
+        e.offset > file.size - e.size) {
       return Corrupt("section extent out of bounds");
+    }
+    // The alignment gap before this section is covered by no digest; the
+    // writer zero-fills it, so any other byte there is a flipped bit or
+    // smuggled data.
+    if (std::any_of(file.data + prev_end, file.data + e.offset,
+                    [](uint8_t b) { return b != 0; })) {
+      return Corrupt("non-zero alignment padding");
     }
     prev_end = e.offset + e.size;
     toc->push_back(e);
   }
   // Nothing may trail the last section: appended bytes would be state no
   // digest covers.
-  if (prev_end != map.size()) return Corrupt("trailing bytes after sections");
+  if (prev_end != file.size) return Corrupt("trailing bytes after sections");
   return Status::Ok();
 }
 
@@ -351,7 +378,7 @@ Status DecodeFgPostings(ByteReader& r, const core::SpPackage& pkg,
 // One image-index entry on the wire: id(u64) | blob offset(varint) |
 // blob size(varint) | payload digest(32) | signature blob.
 Status DecodeImageIndex(ByteReader& r, uint64_t blobs_size,
-                        std::vector<MappedPackage::Record>* records) {
+                        std::vector<StoredImages::Record>* records) {
   uint64_t n = 0;
   Status s;
   if (!(s = r.GetVarint(&n)).ok()) return s;
@@ -359,42 +386,41 @@ Status DecodeImageIndex(ByteReader& r, uint64_t blobs_size,
     return Corrupt("image count exceeds input size");
   }
   records->resize(n);
-  ImageId prev = 0;
+  uint64_t blobs_end = 0;
   for (uint64_t i = 0; i < n; ++i) {
-    MappedPackage::Record& rec = (*records)[i];
+    StoredImages::Record& rec = (*records)[i];
     if (!(s = r.GetU64(&rec.id)).ok()) return s;
-    if (i > 0 && rec.id <= prev) return Corrupt("image ids not ascending");
-    prev = rec.id;
+    if (i > 0 && rec.id <= (*records)[i - 1].id) {
+      return Corrupt("image ids not ascending");
+    }
     if (!(s = r.GetVarint(&rec.offset)).ok()) return s;
     if (!(s = r.GetVarint(&rec.size)).ok()) return s;
-    // Every payload extent must lie inside the blob section: a forged
-    // extent would otherwise read (and digest-check, and possibly serve)
-    // bytes of unrelated sections.
-    if (rec.size > blobs_size || rec.offset > blobs_size - rec.size) {
-      return Corrupt("image extent outside blob section");
+    // The payloads tile the blob section back to back, as the writer lays
+    // them out: a forged extent can neither read bytes of unrelated
+    // sections nor leave blob bytes that no payload digest covers.
+    if (rec.offset != blobs_end || rec.size > blobs_size - blobs_end) {
+      return Corrupt("image extents do not tile the blob section");
     }
+    blobs_end += rec.size;
     if (!(s = crypto::GetDigest(r, &rec.digest)).ok()) return s;
     if (!(s = r.GetBlob(&rec.signature)).ok()) return s;
     if (rec.signature.size() > 4096) return Corrupt("absurd signature size");
   }
+  if (blobs_end != blobs_size) {
+    return Corrupt("image extents do not tile the blob section");
+  }
   return Status::Ok();
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Write
+// The codec: one encoder producing the byte image, one decoder over it.
 // ---------------------------------------------------------------------------
 
-Status PackageStore::Write(const std::string& path,
-                           const core::SpPackage& package,
-                           const WriteOptions& options) {
-  const uint32_t page = options.page_size;
-  if (page < kMinPageSize || page > kMaxPageSize ||
-      (page & (page - 1)) != 0) {
-    return Status::Error("store: page_size must be a power of two in [64, 1M]");
-  }
-
+// The .ipk byte image of `package`, sections aligned to `page` (validated
+// by the caller). Payloads stream through the uniform accessor, which
+// integrity-checks disk-backed ones as they are read, so a corrupted source
+// can never be re-published clean.
+Result<Bytes> EncodePackage(const core::SpPackage& package, uint32_t page) {
   Bytes sections[kNumSections];
   {
     ByteWriter w;
@@ -416,6 +442,9 @@ Status PackageStore::Write(const std::string& path,
     sections[kCorpus - 1] = w.Take();
   }
   {
+    // Cluster weights and the shared filter geometry are committed state,
+    // frozen at the original build across incremental updates, so they are
+    // stored rather than re-derived from the (possibly grown) corpus.
     ByteWriter w;
     w.PutVarint(package.codebook.size());
     for (size_t c = 0; c < package.codebook.size(); ++c) {
@@ -442,26 +471,42 @@ Status PackageStore::Write(const std::string& path,
   }
   sections[kPostings - 1] = EncodePostings(package);
   {
-    // Image index + blobs in one pass over the uniform accessor (ascending
-    // id order; disk-backed payloads are integrity-checked as they are
-    // read, so a corrupted source can never be re-published clean).
-    ByteWriter index;
+    // Image index + blobs, ascending id order. The payloads are copied into
+    // the blob section first and digested from there in one batch.
+    std::vector<StoredImages::Record> records;
+    records.reserve(package.NumImages());
     ByteWriter blobs;
-    index.PutVarint(package.NumImages());
     Status s = package.ForEachImage(
-        [&index, &blobs](ImageId id, BytesView data, BytesView sig) {
-          index.PutU64(id);
-          index.PutVarint(blobs.size());
-          index.PutVarint(data.size);
-          crypto::PutDigest(index, crypto::Sha3(data.data, data.size));
-          index.PutVarint(sig.size);
-          index.PutBytes(sig.data, sig.size);
+        [&records, &blobs](ImageId id, BytesView data, BytesView sig) {
+          StoredImages::Record& r = records.emplace_back();
+          r.id = id;
+          r.offset = blobs.size();
+          r.size = data.size;
+          r.signature.assign(sig.data, sig.data + sig.size);
           blobs.PutBytes(data.data, data.size);
           return Status::Ok();
         });
     if (!s.ok()) return s;
-    sections[kImageIndex - 1] = index.Take();
     sections[kImageBlobs - 1] = blobs.Take();
+    const Bytes& blob_bytes = sections[kImageBlobs - 1];
+    std::vector<BytesView> payloads;
+    payloads.reserve(records.size());
+    for (const auto& r : records) {
+      payloads.emplace_back(blob_bytes.data() + r.offset, r.size);
+    }
+    std::vector<Digest> digests(records.size());
+    crypto::HashBatch(payloads.data(), digests.data(), payloads.size());
+
+    ByteWriter index;
+    index.PutVarint(records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      index.PutU64(records[i].id);
+      index.PutVarint(records[i].offset);
+      index.PutVarint(records[i].size);
+      crypto::PutDigest(index, digests[i]);
+      index.PutBlob(records[i].signature);
+    }
+    sections[kImageIndex - 1] = index.Take();
   }
 
   // Layout: header, TOC, then each section on a page boundary.
@@ -471,8 +516,8 @@ Status PackageStore::Write(const std::string& path,
     offsets[i] = off;
     off = AlignUp(off + sections[i].size(), page);
   }
-  // The file ends exactly where the last section does — no trailing pad, so
-  // every byte past it would be detectable junk.
+  // The image ends exactly where the last section does — no trailing pad,
+  // so every byte past it would be detectable junk.
   const uint64_t file_size =
       offsets[kNumSections - 1] + sections[kNumSections - 1].size();
 
@@ -499,6 +544,7 @@ Status PackageStore::Write(const std::string& path,
   Bytes header_prefix = header.Take();
   const Digest header_digest = crypto::Sha3(header_prefix);
 
+  // Zero-initialized, so every alignment gap is zero padding.
   Bytes file(file_size, 0);
   std::copy(header_prefix.begin(), header_prefix.end(), file.begin());
   std::copy(header_digest.bytes.begin(), header_digest.bytes.end(),
@@ -509,42 +555,47 @@ Status PackageStore::Write(const std::string& path,
     std::copy(sections[i].begin(), sections[i].end(),
               file.begin() + static_cast<ptrdiff_t>(offsets[i]));
   }
-  return AtomicWriteFile(path, file);
+  return file;
 }
 
-// ---------------------------------------------------------------------------
-// Open
-// ---------------------------------------------------------------------------
+// Which entry point is decoding. The mapped store restores the indexes from
+// their stored chains without rehashing them; the in-memory form (the
+// engine's update clone) rebuilds them from the decoded corpus, weights and
+// geometry, so postings that no longer derive from the corpus cannot
+// survive a clone.
+enum class DecodeMode { kMapped, kInMemory };
 
-Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
-    const std::string& path, const OpenOptions& opts) {
-  Result<MmapFile> map = MmapFile::Open(path);
-  if (!map.ok()) return map.status();
-
+// Decodes the byte image `file` into `pkg` (freshly constructed, not moved
+// afterwards: the MRKD trees point into it) and its payload records into
+// `images`, which point into `file`. Every byte of the image is checked:
+// header and TOC by their digests, alignment gaps for zero padding, every
+// section except the blobs by its TOC digest, and the blobs — which the
+// payload extents tile exactly — by the per-payload digests on every read.
+// The root re-derived from the decoded sections must equal the header's.
+Status DecodePackage(BytesView file, DecodeMode mode, core::SpPackage* pkg,
+                     StoredImages* images) {
   Header header;
   std::vector<TocEntry> toc;
-  Status s = ReadHeaderAndToc(*map, &header, &toc);
+  Status s = ReadHeaderAndToc(file, &header, &toc);
   if (!s.ok()) return s;
 
-  // Every section except the lazily-faulted blobs is digest-checked up
-  // front: after this loop, a parse failure genuinely means a format bug or
-  // a forged file, never silent bit rot.
+  // After this loop, a parse failure genuinely means a format bug or a
+  // forged file, never silent bit rot.
   for (const TocEntry& e : toc) {
     if (e.id == kImageBlobs) continue;
-    if (crypto::Sha3(map->data() + e.offset, e.size) != e.digest) {
+    if (crypto::Sha3(file.data + e.offset, e.size) != e.digest) {
       return Corrupt("section " + std::to_string(e.id) + " digest diverges");
     }
   }
   auto section = [&](SectionId id) {
     const TocEntry& e = toc[id - 1];
-    return ByteReader(map->data() + e.offset, e.size);
+    return ByteReader(file.data + e.offset, e.size);
   };
   auto section_done = [](ByteReader& r, const char* name) {
     return r.AtEnd() ? Status::Ok()
                      : Corrupt(std::string("trailing bytes in ") + name);
   };
 
-  auto pkg = std::make_unique<core::SpPackage>();
   {
     ByteReader r = section(kConfig);
     if (!(s = GetConfig(r, &pkg->config)).ok()) return s;
@@ -590,9 +641,29 @@ Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
     if (!(s = section_done(r, "filter geometry")).ok()) return s;
   }
 
-  // Indexes restored without rehashing the chains (the whole point of the
-  // store): theta and list digests are re-derived, node digests below.
-  {
+  if (mode == DecodeMode::kInMemory) {
+    // The postings section was digest-checked above; the chains are
+    // re-derived from the corpus instead of taken from it.
+    bovw::ClusterWeights weights =
+        bovw::ClusterWeights::FromRaw(std::move(raw_weights));
+    if (pkg->config.freq_grouped) {
+      pkg->fg_index = std::make_unique<freqgroup::FgInvertedIndex>(
+          freqgroup::FgInvertedIndex::Build(
+              pkg->codebook.size(), pkg->corpus, weights,
+              pkg->config.with_filters, pkg->config.fingerprint_bits,
+              pkg->config.filter_seed, geo));
+      pkg->list_digests = pkg->fg_index->ListDigests();
+    } else {
+      pkg->inv_index = std::make_unique<invindex::MerkleInvertedIndex>(
+          invindex::MerkleInvertedIndex::Build(
+              pkg->codebook.size(), pkg->corpus, weights,
+              pkg->config.with_filters, pkg->config.fingerprint_bits,
+              pkg->config.filter_seed, geo));
+      pkg->list_digests = pkg->inv_index->ListDigests();
+    }
+  } else {
+    // Restored without rehashing the chains (the whole point of the
+    // store): theta and list digests are re-derived, node digests below.
     ByteReader r = section(kPostings);
     if (pkg->config.freq_grouped) {
       std::vector<freqgroup::FgList> lists;
@@ -621,6 +692,9 @@ Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
     if (!(s = section_done(r, "postings")).ok()) return s;
   }
   {
+    // The stored tree shapes replace freshly built ones, so node layouts
+    // (and therefore digests) match the owner's signature even if the
+    // standard library's partition order ever changes.
     ByteReader r = section(kTrees);
     uint64_t num_trees = 0;
     if (!(s = r.GetVarint(&num_trees)).ok()) return s;
@@ -646,39 +720,69 @@ Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
     pkg->mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
         tree.get(), pkg->config.reveal_mode, pkg->list_digests));
   }
-
-  // Image payload source over the mapping.
-  auto mapped = std::make_shared<MappedPackage>();
   {
     const TocEntry& blobs = toc[kImageBlobs - 1];
     ByteReader r = section(kImageIndex);
-    if (!(s = DecodeImageIndex(r, blobs.size, &mapped->records_)).ok()) {
+    if (!(s = DecodeImageIndex(r, blobs.size, &images->records_)).ok()) {
       return s;
     }
     if (!(s = section_done(r, "image index")).ok()) return s;
-    mapped->blobs_offset_ = blobs.offset;
-    // Payload pages are random-access (whatever ids land in top-k);
-    // readahead would just drag cold neighbours into the page cache.
-    map->AdviseRandom(blobs.offset, blobs.size);
+    images->blobs_ = file.data + blobs.offset;
   }
-  // The source owns the mapping from here on (deep_verify below already
-  // reads payloads through it).
-  mapped->map_ = std::move(*map);
 
-  // Bind content to header, then (optionally) to the owner's signature.
-  // The restored root is a function of the codebook, tree shapes, weights,
-  // filter states, and first-posting digests just decoded from the mapped
-  // bytes, so this check is over the file as mapped — not over any cached
-  // in-memory state.
-  const Digest root = pkg->RootDigest();
-  if (root != header.root_digest) {
+  // Bind content to the header. The re-derived root is a function of the
+  // codebook, tree shapes, weights, filter states, and first-posting digests
+  // just decoded from the image, so this check is over the bytes as read —
+  // not over any cached in-memory state.
+  if (pkg->RootDigest() != header.root_digest) {
     return Corrupt("package root diverges from header");
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Write / Open
+// ---------------------------------------------------------------------------
+
+Status PackageStore::Write(const std::string& path,
+                           const core::SpPackage& package,
+                           const WriteOptions& options) {
+  const uint32_t page = options.page_size;
+  if (page < kMinPageSize || page > kMaxPageSize ||
+      (page & (page - 1)) != 0) {
+    return Status::Error("store: page_size must be a power of two in [64, 1M]");
+  }
+  Result<Bytes> file = EncodePackage(package, page);
+  if (!file.ok()) return file.status();
+  return AtomicWriteFile(path, *file);
+}
+
+Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
+    const std::string& path, const OpenOptions& opts) {
+  Result<MmapFile> map = MmapFile::Open(path);
+  if (!map.ok()) return map.status();
+
+  auto pkg = std::make_unique<core::SpPackage>();
+  auto mapped = std::make_shared<StoredImages>();
+  Status s = DecodePackage(BytesView(map->data(), map->size()),
+                           DecodeMode::kMapped, pkg.get(), mapped.get());
+  if (!s.ok()) return s;
+  // Payload pages are random-access (whatever ids land in top-k);
+  // readahead would just drag cold neighbours into the page cache.
+  const uint64_t blobs_offset =
+      static_cast<uint64_t>(mapped->blobs_ - map->data());
+  map->AdviseRandom(blobs_offset, map->size() - blobs_offset);
+  // The source owns the mapping from here on (moving it keeps the address
+  // the records point into).
+  mapped->map_ = std::move(*map);
+
   if (opts.params != nullptr) {
     if (!(pkg->config == opts.params->config)) {
       return Corrupt("config diverges from public parameters");
     }
-    if (!crypto::RsaVerify(opts.params->public_key, root,
+    if (!crypto::RsaVerify(opts.params->public_key, pkg->RootDigest(),
                            opts.params->root_signature)) {
       return Corrupt("root signature failed verification over mapped package");
     }
@@ -699,12 +803,47 @@ Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
   return pkg;
 }
 
+Bytes SerializeSpPackage(const core::SpPackage& package) {
+  Result<Bytes> image = EncodePackage(package, WriteOptions{}.page_size);
+  // A payload that fails its integrity check yields no bytes at all, which
+  // no decoder accepts.
+  Bytes out = image.ok() ? std::move(*image) : Bytes{};
+  // Robustness-test hook: when the fault injector arms the
+  // storage.serialize.* sites, the emitted bytes are bit-flipped or
+  // truncated here — the decoder must turn any such corruption into
+  // kCorrupted, never a crash or a silently wrong package. No-op (one
+  // relaxed load) when nothing is armed. Write does not pass through here,
+  // so the epoch crash matrix stays unperturbed.
+  fault::InjectByteFaults(&out);
+  return out;
+}
+
+Result<std::unique_ptr<core::SpPackage>> DeserializeSpPackage(
+    const Bytes& data) {
+  auto pkg = std::make_unique<core::SpPackage>();
+  StoredImages images;
+  Status s = DecodePackage(data, DecodeMode::kInMemory, pkg.get(), &images);
+  if (!s.ok()) return s;
+  core::SpPackage* out = pkg.get();
+  s = images.ForEach([out](ImageId id, BytesView payload, BytesView sig) {
+    const uint8_t* p = payload.data;
+    out->image_data.emplace(id, Bytes(p, p + payload.size));
+    if (sig.size > 0) {
+      out->image_signatures.emplace(id, Bytes(sig.data, sig.data + sig.size));
+    }
+    return Status::Ok();
+  });
+  if (!s.ok()) return s;
+  return pkg;
+}
+
 Result<PackageLayout> PackageStore::Inspect(const std::string& path) {
   Result<MmapFile> map = MmapFile::Open(path);
   if (!map.ok()) return map.status();
   Header header;
   std::vector<TocEntry> toc;
-  Status s = ReadHeaderAndToc(*map, &header, &toc);
+  Status s =
+      ReadHeaderAndToc(BytesView(map->data(), map->size()), &header, &toc);
   if (!s.ok()) return s;
   PackageLayout layout;
   layout.page_size = header.page_size;
@@ -729,7 +868,8 @@ Status PackageStore::Scrub(const std::string& path,
   std::vector<TocEntry> toc;
   // Re-checks the header and TOC digests against the mapped bytes, which
   // also re-validates every section extent before we trust it below.
-  Status s = ReadHeaderAndToc(*map, &header, &toc);
+  Status s =
+      ReadHeaderAndToc(BytesView(map->data(), map->size()), &header, &toc);
   if (!s.ok()) return s;
   rep->bytes_hashed += kHeaderBytes + header.toc_size;
 

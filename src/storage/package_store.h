@@ -1,14 +1,13 @@
 // Disk-backed mmap package store with crash-safe epoch updates.
 //
-// The interchange serializer (storage/serializer.h) is a flat stream: load
-// means parse everything, copy every image payload into anonymous memory,
-// and rebuild every posting-chain digest — cost proportional to the corpus.
-// The package store is the serving format: a page-aligned sectioned file
-// that is mmap'd read-only (MAP_SHARED), opened by checking digests instead
-// of recomputing them, and whose image payloads are never loaded at all —
-// they fault in lazily from evictable page cache when a query's top-k
-// result needs them, which keeps the resident set of a deployment below
-// its corpus size.
+// The .ipk image below is the one package format. The store is its serving
+// form: a page-aligned sectioned file that is mmap'd read-only (MAP_SHARED),
+// opened by checking digests instead of recomputing them, and whose image
+// payloads are never loaded at all — they fault in lazily from evictable
+// page cache when a query's top-k result needs them, which keeps the
+// resident set of a deployment below its corpus size. Its in-memory form,
+// storage/serializer.h, encodes and decodes the same bytes through the same
+// section codec (used by the engine's update clone).
 //
 // File layout (all integers canonical little-endian, common/bytes.h):
 //
@@ -20,7 +19,9 @@
 //                         digest(32) — offsets page-aligned, ranges
 //                         non-overlapping and inside the file
 //   then         sections each starting on a page boundary, zero-padded
-//                         between; order fixed by section id
+//                         between (the padding is checked to be zero);
+//                         order fixed by section id; the image-index
+//                         extents tile the blob section exactly
 //
 // Sections: kConfig, kCodebook, kCorpus, kWeights, kFilterGeo, kTrees,
 // kPostings (per-list postings WITH their stored chain digests + the

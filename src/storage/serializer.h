@@ -1,16 +1,18 @@
-// Persistence for a deployed ImageProof system.
+// Byte-buffer forms of the deployment's persisted state.
 //
-// A real owner builds the ADSs once and ships them; the SP must be able to
-// load the exact same structures from disk — *exact* meaning bit-identical
-// digests, because the owner's signature covers the MRKD roots. The format
-// therefore stores the tree shapes and posting orders verbatim (no
-// rebuild-time randomness) and recomputes all digests on load, which doubles
-// as an integrity check of the stored data against the re-derived roots.
+// A package has one format: the sectioned .ipk image of
+// storage/package_store.h. SerializeSpPackage returns exactly the bytes
+// PackageStore::Write puts in a file (default page size), and
+// DeserializeSpPackage runs the same section decoder PackageStore::Open
+// runs over a mapping. The two entry points differ only in what they hand
+// back: Open a disk-backed package that restores the stored posting chains
+// and serves payloads from the file; DeserializeSpPackage a mutable
+// in-memory package (core::InsertImage updates it in place) whose indexes
+// are rebuilt from the decoded corpus, weights and filter geometry and
+// whose payloads are copied out of the checked blob section.
 //
-// Layout: versioned magic header, then the Config, codebook, corpus, image
-// payloads + signatures, per-tree structure, and the inverted index (plain
-// or frequency-grouped). All encodings are the canonical ones from
-// common/bytes.h.
+// The public parameters (what clients persist) have their own small codec.
+// All encodings are the canonical ones from common/bytes.h.
 
 #ifndef IMAGEPROOF_STORAGE_SERIALIZER_H_
 #define IMAGEPROOF_STORAGE_SERIALIZER_H_
@@ -22,20 +24,22 @@
 
 namespace imageproof::storage {
 
-// Serializes the full SP package (everything the service provider hosts).
+// The .ipk byte image of the full SP package (everything the service
+// provider hosts). Empty when a disk-backed payload fails its integrity
+// check. Carries the storage.serialize.* fault sites (common/fault.h).
 Bytes SerializeSpPackage(const core::SpPackage& package);
 
-// Reconstructs a package; fails on malformed input. Digests (posting
-// chains, filters, MRKD roots) are recomputed from the stored raw data.
+// Decodes a .ipk byte image into an in-memory package; kCorrupted on any
+// flipped, truncated or trailing byte. Index digests (posting chains,
+// filters, MRKD roots) are recomputed from the stored raw data, and the
+// recomputed root must equal the one the image records.
 Result<std::unique_ptr<core::SpPackage>> DeserializeSpPackage(const Bytes& data);
 
 // Public parameters (what clients persist).
 Bytes SerializePublicParams(const core::PublicParams& params);
 Result<core::PublicParams> DeserializePublicParams(const Bytes& data);
 
-// File convenience wrappers.
-Status SaveSpPackage(const std::string& path, const core::SpPackage& package);
-Result<std::unique_ptr<core::SpPackage>> LoadSpPackage(const std::string& path);
+// File convenience wrappers for the public parameters.
 Status SavePublicParams(const std::string& path, const core::PublicParams& params);
 Result<core::PublicParams> LoadPublicParams(const std::string& path);
 

@@ -392,6 +392,35 @@ TEST_F(EngineFaultTest, TruncationFaultRollsBack) {
   EXPECT_EQ(engine.CurrentSnapshot()->version, 0u);
 }
 
+// A served package whose corpus no longer matches the index it was built
+// into: the update clone re-derives every posting chain from the corpus, so
+// its root diverges from the signed one and the update is refused. The
+// served ADS is untouched, so version 0 keeps answering verifying queries.
+TEST_F(EngineFaultTest, CorpusDivergingFromIndexRollsBack) {
+  EngineFixture fx;
+  core::SpPackage& served = const_cast<core::SpPackage&>(*fx.package);
+  ASSERT_FALSE(served.corpus[0].second.entries.empty());
+  served.corpus[0].second.entries[0].second += 1;
+  core::QueryEngine engine(fx.package, fx.owner.public_params, {});
+
+  workload::CorpusParams qp;
+  qp.num_clusters = 64;
+  auto ins = engine.InsertImage(fx.owner.private_key, 40003,
+                                workload::GenerateQueryBovw(qp, 10, 4),
+                                workload::GenerateImageBlob(40003));
+  ASSERT_FALSE(ins.ok()) << "update over a diverged corpus was published";
+  EXPECT_EQ(ins.status().code(), StatusCode::kCorrupted)
+      << ins.status().message();
+  EXPECT_EQ(engine.CurrentSnapshot()->version, 0u);
+
+  auto features = fx.Features(13);
+  core::EngineResponse resp = engine.Submit(features, 5).get();
+  ASSERT_TRUE(resp.ok()) << resp.status.message();
+  EXPECT_EQ(resp.snapshot->version, 0u);
+  core::Client client(resp.snapshot->params);
+  EXPECT_TRUE(client.Verify(features, 5, resp.response.vo).ok());
+}
+
 TEST_F(EngineFaultTest, SigningFaultIsCaughtBeforePublish) {
   EngineFixture fx;
   core::QueryEngine engine(fx.package, fx.owner.public_params, {});

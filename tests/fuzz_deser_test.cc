@@ -222,7 +222,7 @@ TEST_F(FuzzDeserTest, MutatedStoreFileNeverCrashes) {
     std::fclose(f);
   }
   // A structurally plausible foreign file for splices: same page size,
-  // different deployment — from the foreign interchange bytes.
+  // different deployment — decoded from the foreign in-memory image.
   auto foreign_pkg = storage::DeserializeSpPackage(foreign_pkg_bytes_);
   ASSERT_TRUE(foreign_pkg.ok());
   std::string foreign_path = tmp.File("fuzz_store_foreign.ipk");

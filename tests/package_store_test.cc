@@ -15,6 +15,7 @@
 #include "core/query_engine.h"
 #include "core/server.h"
 #include "core/update.h"
+#include "storage/file_io.h"
 #include "storage/package_store.h"
 #include "storage/serializer.h"
 #include "test_dir.h"
@@ -365,19 +366,23 @@ TEST_F(PackageStoreTest, WriteFromDiskBackedPackageRoundTrips) {
   std::remove(copy.c_str());
 }
 
-// The serializer interchange path and the store must agree: a package
-// loaded from one can be written to the other with identical signed state.
-TEST_F(PackageStoreTest, InterchangesWithSerializer) {
-  Bytes stream = SerializeSpPackage(*owner_.package);
-  auto from_stream = DeserializeSpPackage(stream);
-  ASSERT_TRUE(from_stream.ok());
-  std::string path = tmp_.File("store_interchange.ipk");
-  ASSERT_TRUE(PackageStore::Write(path, **from_stream).ok());
-  auto from_store = PackageStore::Open(path, SignedOpen());
+// One package format: the in-memory image is byte-for-byte the file Write
+// produced, whether it is encoded from the owner's in-memory package or
+// from the disk-backed package opened over that file.
+TEST_F(PackageStoreTest, SerializerBytesEqualWrittenFile) {
+  Bytes file;
+  ASSERT_TRUE(ReadFileBytes(path_, &file).ok());
+  EXPECT_EQ(SerializeSpPackage(*owner_.package), file)
+      << "in-memory image diverged from the written file";
+  auto from_store = PackageStore::Open(path_, SignedOpen());
   ASSERT_TRUE(from_store.ok()) << from_store.status().message();
-  EXPECT_EQ(SerializeSpPackage(**from_store), stream)
-      << "store -> serializer bytes diverged from the original stream";
-  std::remove(path.c_str());
+  EXPECT_EQ(SerializeSpPackage(**from_store), file)
+      << "image of the mapped package diverged from its file";
+  auto decoded = DeserializeSpPackage(file);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_FALSE((*decoded)->disk_backed());
+  EXPECT_EQ((*decoded)->RootDigest(), owner_.package->RootDigest());
+  EXPECT_TRUE((*decoded)->ImagesEqual(*owner_.package));
 }
 
 // --- epoch directory protocol -------------------------------------------

@@ -1,6 +1,7 @@
-// Tests for deployment persistence: a loaded package must answer queries
-// whose VOs verify against the ORIGINAL owner's signature (bit-identical
-// ADS digests), and malformed stored data must be rejected cleanly.
+// Tests for deployment persistence through the in-memory form of the .ipk
+// codec (storage/serializer.h): a loaded package must answer queries whose
+// VOs verify against the ORIGINAL owner's signature (bit-identical ADS
+// digests), and malformed stored data must be rejected cleanly.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,8 @@
 #include "core/client.h"
 #include "core/server.h"
 #include "core/update.h"
+#include "storage/file_io.h"
+#include "storage/package_store.h"
 #include "storage/serializer.h"
 #include "test_dir.h"
 #include "workload/synthetic.h"
@@ -86,14 +89,17 @@ TEST(StorageTest, PublicParamsRoundTrip) {
   EXPECT_TRUE(client.Verify(features, 3, resp.vo).ok());
 }
 
+// A written .ipk file loads eagerly into memory through the same decoder.
 TEST(StorageTest, FileRoundTrip) {
   core::OwnerOutput owner = BuildSmallDeployment(core::Config::ImageProof());
   test_util::TestDir tmp;
-  std::string pkg_path = tmp.File("imageproof_pkg.bin");
+  std::string pkg_path = tmp.File("imageproof_pkg.ipk");
   std::string params_path = tmp.File("imageproof_params.bin");
-  ASSERT_TRUE(SaveSpPackage(pkg_path, *owner.package).ok());
+  ASSERT_TRUE(PackageStore::Write(pkg_path, *owner.package).ok());
   ASSERT_TRUE(SavePublicParams(params_path, owner.public_params).ok());
-  auto pkg = LoadSpPackage(pkg_path);
+  Bytes file;
+  ASSERT_TRUE(ReadFileBytes(pkg_path, &file).ok());
+  auto pkg = DeserializeSpPackage(file);
   ASSERT_TRUE(pkg.ok()) << pkg.status().message();
   auto params = LoadPublicParams(params_path);
   ASSERT_TRUE(params.ok()) << params.status().message();
@@ -136,10 +142,9 @@ TEST(StorageTest, RandomCorruptionNeverCrashes) {
       EXPECT_GT((*result)->corpus.size(), 0u);
     }
   }
-  // Corruption of payload floats parses fine (the signature check catches
-  // it later); structural corruption must be caught at parse time. The
-  // real property under test is "never crashes"; just ensure the parser
-  // rejects at least some structural damage.
+  // Every byte of the image is digest- or zero-checked, so corruption
+  // anywhere is caught at decode time. The real property under test is
+  // "never crashes"; just ensure the decoder rejects the damage.
   EXPECT_LT(loaded_ok, 45);
 }
 
@@ -174,7 +179,7 @@ TEST(StorageTest, UpdatedDeploymentSurvivesPersistence) {
 }
 
 TEST(StorageTest, MissingFile) {
-  EXPECT_FALSE(LoadSpPackage("/nonexistent/path/pkg.bin").ok());
+  EXPECT_FALSE(PackageStore::Open("/nonexistent/path/pkg.ipk").ok());
   EXPECT_FALSE(LoadPublicParams("/nonexistent/path/params.bin").ok());
 }
 
