@@ -21,16 +21,12 @@
 //               the digests one verify computes. Stage times come from the
 //               client.stage.* histograms, so they read zero in an
 //               IMAGEPROOF_NO_METRICS build.
-//
-// The report's "context" records the machine and build: hw_threads, AVX2
-// dispatch, compiler and build type.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -39,7 +35,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "crypto/sha3.h"
-#include "obs/json.h"
 #include "obs/registry.h"
 
 using namespace imageproof;
@@ -92,16 +87,6 @@ int main(int argc, char** argv) {
               kern::Avx2Active() ? "AVX2" : "portable");
   report.AddValue("avx2_compiled", kern::Avx2Compiled() ? 1 : 0);
   report.AddValue("avx2_active", kern::Avx2Active() ? 1 : 0);
-  {
-    obs::JsonWriter w;
-    w.BeginObject();
-    w.Key("hw_threads").I64(std::thread::hardware_concurrency());
-    w.Key("avx2_active").Bool(kern::Avx2Active());
-    w.Key("compiler").String(IMAGEPROOF_COMPILER);
-    w.Key("build_type").String(IMAGEPROOF_BUILD_TYPE);
-    w.EndObject();
-    report.AddJson("context", w.Take());
-  }
   std::printf("%-28s %14s %14s %9s\n", "section", "baseline", "kernel",
               "speedup");
   std::printf("-------------------------------------------------------------------\n");

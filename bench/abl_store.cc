@@ -31,11 +31,9 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/kernels.h"
 #include "common/stopwatch.h"
 #include "storage/file_io.h"
 #include "storage/package_store.h"
@@ -220,16 +218,6 @@ int Main(int argc, char** argv) {
 
   InitBench(argc, argv, "abl_store");
   const bool smoke = SmokeMode();
-  {
-    obs::JsonWriter w;
-    w.BeginObject();
-    w.Key("hw_threads").I64(std::thread::hardware_concurrency());
-    w.Key("avx2_active").Bool(kern::Avx2Active());
-    w.Key("compiler").String(IMAGEPROOF_COMPILER);
-    w.Key("build_type").String(IMAGEPROOF_BUILD_TYPE);
-    w.EndObject();
-    BenchReport::Global().AddJson("context", w.Take());
-  }
   // Full mode: 10x to 100x the 100-image unit-test corpora, 128 KiB
   // payloads (a small stored image; 1.2 GiB of corpus at the top end).
   // Smoke: one small scale so CI exercises every code path in seconds.

@@ -15,9 +15,11 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/kernels.h"
 #include "common/stopwatch.h"
 #include "core/client.h"
 #include "core/owner.h"
@@ -71,9 +73,11 @@ struct Deployment {
 // ---------------------------------------------------------------------------
 // Machine-readable bench output. Every fig*/abl_* binary accepts
 //
-//   --json <path>   write a BENCH_<name>.json-style report: each printed
-//                   table row as a structured record, any named scalars,
-//                   and the full process metrics registry (obs/registry.h)
+//   --json <path>   write a BENCH_<name>.json-style report: the machine
+//                   and build it ran on ("context": hw_threads, avx2_active,
+//                   compiler, build_type), each printed table row as a
+//                   structured record, any named scalars, and the full
+//                   process metrics registry (obs/registry.h)
 //   --smoke         reduced scales for CI smoke runs (binaries opt in via
 //                   SmokeMode(); unused by benches with no smoke variant)
 //
@@ -195,6 +199,12 @@ class BenchReport {
     w.Key("bench").String(name_);
     w.Key("smoke").Bool(smoke_);
     w.Key("exit_code").I64(code);
+    w.Key("context").BeginObject();
+    w.Key("hw_threads").I64(std::thread::hardware_concurrency());
+    w.Key("avx2_active").Bool(kern::Avx2Active());
+    w.Key("compiler").String(IMAGEPROOF_COMPILER);
+    w.Key("build_type").String(IMAGEPROOF_BUILD_TYPE);
+    w.EndObject();
     w.Key("rows").BeginArray();
     for (const Row& r : rows_) {
       w.BeginObject();

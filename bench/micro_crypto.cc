@@ -1,6 +1,6 @@
-// Micro-benchmarks for the crypto substrate: SHA3-256 / SHA-256 throughput
-// at VO-relevant message sizes, digest-chain rebuilding, and RSA
-// sign/verify latency.
+// Micro-benchmarks for the crypto substrate: SHA3-256 throughput at
+// VO-relevant message sizes, digest-chain rebuilding, and RSA sign/verify
+// latency.
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,6 @@
 #include "common/random.h"
 #include "crypto/hasher.h"
 #include "crypto/rsa.h"
-#include "crypto/sha256.h"
 #include "crypto/sha3.h"
 
 namespace {
@@ -32,15 +31,6 @@ void BM_Sha3(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha3)->Arg(48)->Arg(136)->Arg(1024)->Arg(65536);
-
-void BM_Sha256(benchmark::State& state) {
-  Bytes data = RandomBytes(state.range(0), 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha2(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(48)->Arg(136)->Arg(1024)->Arg(65536);
 
 // The client's hot loop: rebuilding a posting digest chain.
 void BM_PostingChain(benchmark::State& state) {

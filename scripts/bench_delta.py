@@ -12,6 +12,11 @@ artifacts. A smoke-mode report typically shares only part of a full-run
 baseline's keys; the comparable count makes that visible instead of
 silently comparing nothing.
 
+Before that line it prints the "context" each report recorded (hw_threads,
+avx2_active, compiler, build_type; see bench/bench_util.h). When the two
+contexts differ, or a report has none, the delta is labelled cross-hardware:
+it mixes machine or build changes into the code change.
+
 Informational by default: exits 0 regardless of drift (smoke runs on shared
 CI runners are too noisy to gate on), exits 2 only when a report is
 missing/unreadable.
@@ -26,6 +31,27 @@ ROW_METRICS = (
     "sp_bovw_ms", "sp_inv_ms", "client_bovw_ms", "client_inv_ms",
     "bovw_vo_kb", "inv_vo_kb",
 )
+CONTEXT_KEYS = ("hw_threads", "avx2_active", "compiler", "build_type")
+
+
+def context(report):
+    ctx = report.get("context")
+    return ctx if isinstance(ctx, dict) else None
+
+
+def describe(ctx):
+    if ctx is None:
+        return "none recorded"
+    return ", ".join(f"{k}={json.dumps(ctx.get(k))}" for k in CONTEXT_KEYS)
+
+
+def hardware_label(fresh_ctx, base_ctx):
+    if fresh_ctx is None or base_ctx is None:
+        return "cross-hardware (a report records no context)"
+    differ = [k for k in CONTEXT_KEYS if fresh_ctx.get(k) != base_ctx.get(k)]
+    if differ:
+        return f"cross-hardware (differs in {', '.join(differ)})"
+    return "same hardware"
 
 
 def metrics(report):
@@ -56,6 +82,10 @@ def main(argv):
         return 2
 
     name = fresh.get("bench", argv[1])
+    fresh_ctx, base_ctx = context(fresh), context(base)
+    print(f"bench_delta [{name}]: fresh context: {describe(fresh_ctx)}")
+    print(f"bench_delta [{name}]: baseline context: {describe(base_ctx)}")
+    print(f"bench_delta [{name}]: {hardware_label(fresh_ctx, base_ctx)}")
     fresh_m, base_m = metrics(fresh), metrics(base)
     deltas = {}
     for key, fv in fresh_m.items():

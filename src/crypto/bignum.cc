@@ -16,6 +16,134 @@ constexpr uint32_t kSmallPrimes[] = {
     271, 277, 281, 283, 293, 307, 311, 313, 317, 331, 337, 347, 349, 353,
 };
 
+using u128 = unsigned __int128;
+
+// Packs little-endian 32-bit limbs into 64-bit limbs; `out` must already be
+// zeroed and hold at least (v.size() + 1) / 2 limbs.
+void ToLimbs64(const std::vector<uint32_t>& v, uint64_t* out) {
+  for (size_t i = 0; i < v.size(); ++i) {
+    out[i / 2] |= static_cast<uint64_t>(v[i]) << (32 * (i % 2));
+  }
+}
+
+// -m0^-1 mod 2^64 for odd m0. x = m0 is an inverse mod 2^3; each Newton step
+// x *= 2 - m0 * x doubles the number of correct low bits (3 -> 96).
+uint64_t NegInverse64(uint64_t m0) {
+  uint64_t x = m0;
+  for (int i = 0; i < 5; ++i) x *= 2 - m0 * x;
+  return ~x + 1;
+}
+
+// out = v mod m for v = top * 2^(64n) + v[0..n) < 2m: one conditional
+// subtraction.
+void ReduceOnce(const uint64_t* v, uint64_t top, const uint64_t* m, size_t n,
+                uint64_t* out) {
+  bool ge = top != 0;
+  if (!ge) {
+    ge = true;  // equal counts as >=
+    for (size_t j = n; j-- > 0;) {
+      if (v[j] != m[j]) {
+        ge = v[j] > m[j];
+        break;
+      }
+    }
+  }
+  if (!ge) {
+    std::copy(v, v + n, out);
+    return;
+  }
+  uint64_t borrow = 0;
+  for (size_t j = 0; j < n; ++j) {
+    u128 diff = static_cast<u128>(v[j]) - m[j] - borrow;
+    out[j] = static_cast<uint64_t>(diff);
+    borrow = static_cast<uint64_t>(diff >> 64) & 1;
+  }
+}
+
+// Montgomery product out = a * b * 2^(-64n) mod m by coarsely integrated
+// operand scanning (CIOS). a, b < m; m odd with n limbs; m_inv =
+// -m^-1 mod 2^64; t is n + 2 limbs of scratch. `out` may alias a or b.
+void MontMul(const uint64_t* a, const uint64_t* b, const uint64_t* m,
+             uint64_t m_inv, size_t n, uint64_t* t, uint64_t* out) {
+  std::fill(t, t + n + 2, 0);
+  for (size_t i = 0; i < n; ++i) {
+    // t += a[i] * b
+    uint64_t carry = 0;
+    for (size_t j = 0; j < n; ++j) {
+      u128 cur = static_cast<u128>(a[i]) * b[j] + t[j] + carry;
+      t[j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+    u128 top = static_cast<u128>(t[n]) + carry;
+    t[n] = static_cast<uint64_t>(top);
+    t[n + 1] = static_cast<uint64_t>(top >> 64);
+
+    // t = (t + q * m) / 2^64, with q chosen so the low limb cancels.
+    const uint64_t q = t[0] * m_inv;
+    u128 cur = static_cast<u128>(q) * m[0] + t[0];
+    carry = static_cast<uint64_t>(cur >> 64);
+    for (size_t j = 1; j < n; ++j) {
+      cur = static_cast<u128>(q) * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+    top = static_cast<u128>(t[n]) + carry;
+    t[n - 1] = static_cast<uint64_t>(top);
+    t[n] = t[n + 1] + static_cast<uint64_t>(top >> 64);
+  }
+
+  ReduceOnce(t, t[n], m, n, out);
+}
+
+// out = r * r * 2^(-64n) mod m for r < m: the n(n + 1) / 2 products of the
+// square (cross products once, doubled, plus the diagonal), then n rounds of
+// Montgomery reduction. t is 2n limbs of scratch; `out` may alias r.
+void MontSqr(const uint64_t* r, const uint64_t* m, uint64_t m_inv, size_t n,
+             uint64_t* t, uint64_t* out) {
+  std::fill(t, t + 2 * n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t carry = 0;
+    for (size_t j = i + 1; j < n; ++j) {
+      u128 cur = static_cast<u128>(r[i]) * r[j] + t[i + j] + carry;
+      t[i + j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+    t[i + n] = carry;
+  }
+  uint64_t shifted_out = 0;
+  for (size_t k = 0; k < 2 * n; ++k) {
+    const uint64_t v = t[k];
+    t[k] = (v << 1) | shifted_out;
+    shifted_out = v >> 63;
+  }
+  uint64_t carry = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const u128 sq = static_cast<u128>(r[i]) * r[i];
+    u128 lo = static_cast<u128>(t[2 * i]) + static_cast<uint64_t>(sq) + carry;
+    t[2 * i] = static_cast<uint64_t>(lo);
+    u128 hi = static_cast<u128>(t[2 * i + 1]) + static_cast<uint64_t>(sq >> 64) +
+              static_cast<uint64_t>(lo >> 64);
+    t[2 * i + 1] = static_cast<uint64_t>(hi);
+    carry = static_cast<uint64_t>(hi >> 64);
+  }
+
+  // Round i clears limb i; the carry out of limb i + n rides into the next.
+  uint64_t top = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t q = t[i] * m_inv;
+    carry = 0;
+    for (size_t j = 0; j < n; ++j) {
+      u128 cur = static_cast<u128>(q) * m[j] + t[i + j] + carry;
+      t[i + j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+    u128 cur = static_cast<u128>(t[i + n]) + carry + top;
+    t[i + n] = static_cast<uint64_t>(cur);
+    top = static_cast<uint64_t>(cur >> 64);
+  }
+  ReduceOnce(t + n, top, m, n, out);
+}
+
 }  // namespace
 
 BigInt::BigInt(uint64_t v) {
@@ -351,13 +479,51 @@ BigInt BigInt::Mod(const BigInt& a, const BigInt& m) {
 }
 
 BigInt BigInt::ModExp(const BigInt& base, const BigInt& exp, const BigInt& m) {
-  BigInt result(1);
-  BigInt b = Mod(base, m);
-  int bits = exp.BitLength();
-  for (int i = bits - 1; i >= 0; --i) {
-    result = Mod(Mul(result, result), m);
-    if (exp.Bit(i)) result = Mod(Mul(result, b), m);
+  if (!m.IsOdd()) {
+    // Montgomery reduction needs an odd modulus; even ones take the plain
+    // square-and-multiply loop.
+    BigInt result(1);
+    BigInt b = Mod(base, m);
+    for (int i = exp.BitLength() - 1; i >= 0; --i) {
+      result = Mod(Mul(result, result), m);
+      if (exp.Bit(i)) result = Mod(Mul(result, b), m);
+    }
+    return result;
   }
+  if (exp.IsZero()) return Mod(BigInt(1), m);
+
+  // Scratch for the whole exponentiation, so the exponent loop allocates
+  // nothing: modulus, accumulator, base, and 2n + 1 limbs for MontSqr (2n)
+  // and MontMul (n + 2).
+  const size_t n = (m.limbs_.size() + 1) / 2;
+  std::vector<uint64_t> scratch(5 * n + 1, 0);
+  uint64_t* mod = scratch.data();
+  uint64_t* acc = mod + n;
+  uint64_t* b = acc + n;
+  uint64_t* t = b + n;
+  ToLimbs64(m.limbs_, mod);
+  const uint64_t m_inv = NegInverse64(mod[0]);
+
+  // b = base * R mod m with R = 2^(64n); the scan starts at the top set bit
+  // of exp, so the accumulator starts as b.
+  ToLimbs64(Mod(ShiftLeft(base, static_cast<int>(64 * n)), m).limbs_, b);
+  std::copy(b, b + n, acc);
+  for (int i = exp.BitLength() - 2; i >= 0; --i) {
+    MontSqr(acc, mod, m_inv, n, t, acc);
+    if (exp.Bit(i)) MontMul(acc, b, mod, m_inv, n, t, acc);
+  }
+
+  // Leave Montgomery form: acc * 1 * R^-1.
+  std::fill(b, b + n, 0);
+  b[0] = 1;
+  MontMul(acc, b, mod, m_inv, n, t, acc);
+  BigInt result;
+  result.limbs_.resize(2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    result.limbs_[2 * i] = static_cast<uint32_t>(acc[i]);
+    result.limbs_[2 * i + 1] = static_cast<uint32_t>(acc[i] >> 32);
+  }
+  result.Trim();
   return result;
 }
 

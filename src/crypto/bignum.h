@@ -2,8 +2,10 @@
 //
 // Representation: little-endian vector of 32-bit limbs with no trailing zero
 // limbs (zero is the empty vector). 32-bit limbs keep Knuth Algorithm D
-// division simple with 64-bit intermediates. Performance is adequate for
-// signing/verifying at 1024-2048 bits, which is all ImageProof needs.
+// division simple with 64-bit intermediates. ModExp with an odd modulus
+// (every RSA and Miller-Rabin use) multiplies and squares in Montgomery form
+// on 64-bit limbs instead of a multiply-then-divide per step. Nothing here is
+// constant-time.
 
 #ifndef IMAGEPROOF_CRYPTO_BIGNUM_H_
 #define IMAGEPROOF_CRYPTO_BIGNUM_H_
@@ -64,7 +66,9 @@ class BigInt {
   static BigInt ShiftLeft(const BigInt& a, int bits);
   static BigInt ShiftRight(const BigInt& a, int bits);
 
-  // (base^exp) mod m, square-and-multiply. m must be nonzero.
+  // (base^exp) mod m by a left-to-right binary scan of exp: Montgomery
+  // multiplication when m is odd, multiply-then-Mod when it is even. m must
+  // be nonzero.
   static BigInt ModExp(const BigInt& base, const BigInt& exp, const BigInt& m);
   // Modular inverse via extended Euclid; returns zero if gcd(a, m) != 1.
   static BigInt ModInverse(const BigInt& a, const BigInt& m);

@@ -10,7 +10,9 @@ namespace {
 // modulus-sized block: 0x00 0x01 FF..FF 0x00 | marker | digest.
 // The marker stands in for the DER AlgorithmIdentifier of SHA3-256.
 constexpr uint8_t kSha3Marker[4] = {0x53, 0x33, 0x32, 0x36};  // "S326"
+static_assert(kRsaMinModulusBytes == 3 + sizeof(kSha3Marker) + kDigestSize);
 
+// block_len must be at least kRsaMinModulusBytes.
 Bytes EncodeDigestBlock(const Digest& digest, size_t block_len) {
   Bytes em(block_len, 0xFF);
   em[0] = 0x00;
@@ -44,6 +46,7 @@ RsaKeyPair RsaKeyPair::Generate(int modulus_bits, Rng& rng) {
 
 Bytes RsaSign(const RsaPrivateKey& key, const Digest& digest) {
   size_t k = (static_cast<size_t>(key.n.BitLength()) + 7) / 8;
+  if (k < kRsaMinModulusBytes) return {};
   Bytes em = EncodeDigestBlock(digest, k);
   BigInt m = BigInt::FromBytes(em);
   BigInt s = BigInt::ModExp(m, key.d, key.n);
@@ -52,7 +55,7 @@ Bytes RsaSign(const RsaPrivateKey& key, const Digest& digest) {
 
 bool RsaVerify(const RsaPublicKey& key, const Digest& digest, const Bytes& sig) {
   size_t k = key.ModulusBytes();
-  if (sig.size() != k) return false;
+  if (k < kRsaMinModulusBytes || sig.size() != k) return false;
   BigInt s = BigInt::FromBytes(sig);
   if (s >= key.n) return false;
   BigInt m = BigInt::ModExp(s, key.e, key.n);

@@ -3,8 +3,8 @@
 // The image owner signs (a) each image digest per Eq. (15) and (b) the root
 // digest of the ImageProof ADS. Any EUF-CMA signature scheme works; we use
 // textbook-keygen RSA with a PKCS#1-v1.5-style deterministic encoding of a
-// SHA3-256 digest. Key sizes are caller-chosen (tests use 512-bit keys for
-// speed; benchmarks use 1024).
+// SHA3-256 digest. Key sizes are caller-chosen (tests and perfbench use
+// 512-bit keys; the default core::Config uses 1024).
 
 #ifndef IMAGEPROOF_CRYPTO_RSA_H_
 #define IMAGEPROOF_CRYPTO_RSA_H_
@@ -18,6 +18,10 @@
 #include "crypto/digest.h"
 
 namespace imageproof::crypto {
+
+// Smallest modulus the signature encoding fits in: 0x00 0x01 0x00, a 4-byte
+// hash marker and the 32-byte digest. Shorter keys cannot sign or verify.
+inline constexpr size_t kRsaMinModulusBytes = 3 + 4 + kDigestSize;
 
 struct RsaPublicKey {
   BigInt n;  // modulus
@@ -39,10 +43,12 @@ struct RsaKeyPair {
   static RsaKeyPair Generate(int modulus_bits, Rng& rng);
 };
 
-// Signs a 32-byte digest. The signature is ModulusBytes() long.
+// Signs a 32-byte digest. The signature is ModulusBytes() long, or empty
+// (which no verifier accepts) when the modulus is under kRsaMinModulusBytes.
 Bytes RsaSign(const RsaPrivateKey& key, const Digest& digest);
 
-// Verifies a signature over a 32-byte digest.
+// Verifies a signature over a 32-byte digest; false for a modulus under
+// kRsaMinModulusBytes.
 bool RsaVerify(const RsaPublicKey& key, const Digest& digest, const Bytes& sig);
 
 // Abstract signing interfaces so the core scheme is signature-agnostic.

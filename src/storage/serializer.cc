@@ -1,5 +1,6 @@
 #include "storage/serializer.h"
 
+#include "crypto/rsa.h"
 #include "storage/file_io.h"
 #include "storage/format.h"
 
@@ -42,6 +43,9 @@ Result<core::PublicParams> DeserializePublicParams(const Bytes& data) {
   if (!(s = GetConfig(r, &params.config)).ok()) return s;
   if (!(s = GetBigInt(r, &params.public_key.n)).ok()) return s;
   if (!(s = GetBigInt(r, &params.public_key.e)).ok()) return s;
+  if (params.public_key.ModulusBytes() < crypto::kRsaMinModulusBytes) {
+    return Status::Corrupted("storage: RSA modulus too short");
+  }
   if (!(s = r.GetBlob(&params.root_signature)).ok()) return s;
   uint64_t v;
   if (!(s = r.GetVarint(&v)).ok()) return s;

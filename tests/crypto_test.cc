@@ -1,18 +1,19 @@
-// Tests for the from-scratch crypto substrate: SHA3-256 and SHA-256 against
-// published vectors, bignum arithmetic against independent references, and
-// RSA sign/verify round trips.
+// Tests for the from-scratch crypto substrate: SHA3-256 against published
+// vectors, bignum arithmetic against independent references (ModExp against
+// a multiply-then-Mod oracle), and RSA sign/verify round trips with pinned
+// signature bytes.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "crypto/bignum.h"
 #include "crypto/digest.h"
 #include "crypto/hasher.h"
 #include "crypto/rsa.h"
-#include "crypto/sha256.h"
 #include "crypto/sha3.h"
 
 namespace imageproof::crypto {
@@ -69,47 +70,6 @@ TEST(Sha3Test, ExactRateBlock) {
   Bytes data(136, 0x5A);
   Bytes data2(137, 0x5A);
   EXPECT_NE(Sha3(data), Sha3(data2));
-}
-
-// ---------------------------------------------------------------------------
-// SHA-256 (FIPS 180-4)
-// ---------------------------------------------------------------------------
-
-TEST(Sha256Test, EmptyString) {
-  EXPECT_EQ(Sha2(Bytes{}).ToHex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-}
-
-TEST(Sha256Test, Abc) {
-  EXPECT_EQ(Sha2(AsciiBytes("abc")).ToHex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256Test, TwoBlocks) {
-  EXPECT_EQ(
-      Sha2(AsciiBytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
-          .ToHex(),
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256Test, MillionAs) {
-  Sha256 h;
-  Bytes chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.Update(chunk);
-  EXPECT_EQ(h.Finalize().ToHex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-}
-
-TEST(Sha256Test, PaddingBoundaries) {
-  // Lengths around the 55/56/64-byte padding edges must all differ.
-  Digest prev{};
-  for (size_t len : {size_t{54}, size_t{55}, size_t{56}, size_t{57}, size_t{63},
-                     size_t{64}, size_t{65}}) {
-    Bytes data(len, 0x61);
-    Digest d = Sha2(data);
-    EXPECT_NE(d, prev);
-    prev = d;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -220,6 +180,57 @@ TEST(BigIntTest, ModExpSmallValues) {
   }
 }
 
+// Square-and-multiply from Mul + Mod: the reference ModExp is checked
+// against, independent of its Montgomery path.
+BigInt OracleModExp(const BigInt& base, const BigInt& exp, const BigInt& m) {
+  BigInt result = BigInt::Mod(BigInt(1), m);
+  BigInt b = BigInt::Mod(base, m);
+  for (int i = exp.BitLength() - 1; i >= 0; --i) {
+    result = BigInt::Mod(BigInt::Mul(result, result), m);
+    if (exp.Bit(i)) result = BigInt::Mod(BigInt::Mul(result, b), m);
+  }
+  return result;
+}
+
+class ModExpOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ModExpOracleTest, MatchesSquareAndMultiply) {
+  const int bits = GetParam();
+  Rng rng(1000 + static_cast<uint64_t>(bits));
+  BigInt m = BigInt::RandomWithBits(bits, rng);
+  if (!m.IsOdd()) m = BigInt::Add(m, BigInt(1));
+  ASSERT_EQ(m.BitLength(), bits);
+  const BigInt one(1);
+  const std::vector<BigInt> bases = {
+      BigInt(),
+      one,
+      BigInt::Sub(m, one),
+      m,
+      BigInt::Add(m, one),
+      BigInt::RandomBelow(m, rng),
+      BigInt::RandomWithBits(bits + 17, rng),  // >= m
+  };
+  const std::vector<BigInt> exps = {
+      BigInt(), one, BigInt(2), BigInt(65537), BigInt::RandomWithBits(bits, rng),
+  };
+  for (size_t bi = 0; bi < bases.size(); ++bi) {
+    for (size_t ei = 0; ei < exps.size(); ++ei) {
+      EXPECT_EQ(BigInt::ModExp(bases[bi], exps[ei], m).ToHex(),
+                OracleModExp(bases[bi], exps[ei], m).ToHex())
+          << "bits=" << bits << " base#" << bi << " exp#" << ei;
+    }
+  }
+}
+
+// 33 and 65 bits leave the top 64-bit limb nearly empty; 1000 leaves it
+// half full.
+INSTANTIATE_TEST_SUITE_P(OddModuli, ModExpOracleTest,
+                         ::testing::Values(33, 64, 65, 255, 512, 1000, 1024,
+                                           2048),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "bits";
+                         });
+
 TEST(BigIntTest, ModInverse) {
   Rng rng(23);
   BigInt m = BigInt::FromHex("fffffffb");  // prime
@@ -293,10 +304,13 @@ TEST_F(RsaTest, RejectsWrongDigest) {
 TEST_F(RsaTest, RejectsTamperedSignature) {
   Digest d = Sha3(AsciiBytes("message"));
   Bytes sig = RsaSign(key_pair_->private_key, d);
-  for (size_t pos : {size_t{0}, sig.size() / 2, sig.size() - 1}) {
-    Bytes bad = sig;
-    bad[pos] ^= 0x01;
-    EXPECT_FALSE(RsaVerify(key_pair_->public_key, d, bad));
+  for (size_t pos = 0; pos < sig.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes bad = sig;
+      bad[pos] ^= static_cast<uint8_t>(1u << bit);
+      EXPECT_FALSE(RsaVerify(key_pair_->public_key, d, bad))
+          << "byte " << pos << " bit " << bit;
+    }
   }
 }
 
@@ -320,6 +334,73 @@ TEST_F(RsaTest, SignerVerifierInterface) {
 TEST_F(RsaTest, DeterministicSignature) {
   Digest d = Sha3(AsciiBytes("determinism"));
   EXPECT_EQ(RsaSign(key_pair_->private_key, d), RsaSign(key_pair_->private_key, d));
+}
+
+std::string HexOf(const Bytes& b) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (uint8_t v : b) {
+    out.push_back(kHex[v >> 4]);
+    out.push_back(kHex[v & 0xF]);
+  }
+  return out;
+}
+
+// Pinned signature bytes for the seed-42 keys: a change to the bignum or
+// RSA arithmetic that alters one signature byte (and so every signed root
+// and image digest a deployment ships) fails here.
+void ExpectPinnedSignatures(int bits, const std::string& one,
+                            const std::string& two) {
+  Rng rng(42);
+  RsaKeyPair kp = RsaKeyPair::Generate(bits, rng);
+  Bytes sig_one = RsaSign(kp.private_key, Sha3(AsciiBytes("pinned digest one")));
+  Bytes sig_two = RsaSign(kp.private_key, Sha3(AsciiBytes("pinned digest two")));
+  EXPECT_EQ(HexOf(sig_one), one);
+  EXPECT_EQ(HexOf(sig_two), two);
+  EXPECT_TRUE(RsaVerify(kp.public_key, Sha3(AsciiBytes("pinned digest one")),
+                        sig_one));
+}
+
+TEST(RsaPinnedTest, SignatureBytes512) {
+  ExpectPinnedSignatures(
+      512,
+      "969fde1a7c6b83652d4f2700c6b2f43059f2ac016725f7324bd3777a79c0729d"
+      "34e1ccc1cd545dbd6b55525660080a54e827ff761ea7d397d9450b1bea542984",
+      "2d3dd7e0fb59d0fe1d1867b56d3eeaf940811d7485ac38b342d22eead1604a0a"
+      "7f713a5951dca3a814bfc2f3d166341a9d999435b1911859a1e3c15a83f507cf");
+}
+
+TEST(RsaPinnedTest, SignatureBytes1024) {
+  ExpectPinnedSignatures(
+      1024,
+      "0c124bc84bd790903a50ef2ffd966e1eb04373cc73d7adddec22ed8b1c2ab1f1"
+      "c773ab2c1f60477705f6f8c65e10848591d101ae79ff373ac608189cd7faa756"
+      "c7ebb1abbf32383a2f91a497d08bd1587ea56589683094d84d377e6a5aaf7041"
+      "7e4f19153fd97c34e34a10bfc245cf79b774551e5b506a8478e8dc87f2311d01",
+      "349675926fae955e58c363678a70be55b8199de2b784ba2cfa24dbecb70d447d"
+      "89fe46b419f2668ec676c8121652a10be4acbfd0146f423f2a3a2700aedf283d"
+      "399206e844393737e05f550449599db0d2baee7493dbaf5fcedd5bd8f346f4e2"
+      "5170890b5873a0270ad0f698f543304dc6108526d3f5d9f9a905cc512d848f93");
+}
+
+// The encoding needs kRsaMinModulusBytes (39) bytes. Shorter keys sign to
+// empty bytes and verify nothing; a 39-byte key still round-trips.
+TEST(RsaKeygenTest, ModulusShorterThanEncodingRejected) {
+  const Digest d = Sha3(AsciiBytes("short key"));
+  for (int bits : {256, 304}) {
+    Rng rng(static_cast<uint64_t>(bits));
+    RsaKeyPair kp = RsaKeyPair::Generate(bits, rng);
+    ASSERT_LT(kp.public_key.ModulusBytes(), kRsaMinModulusBytes);
+    EXPECT_TRUE(RsaSign(kp.private_key, d).empty()) << bits;
+    EXPECT_FALSE(RsaVerify(kp.public_key, d, Bytes{})) << bits;
+    EXPECT_FALSE(RsaVerify(kp.public_key, d,
+                           Bytes(kp.public_key.ModulusBytes(), 0x01)))
+        << bits;
+  }
+  Rng rng(312);
+  RsaKeyPair kp = RsaKeyPair::Generate(312, rng);
+  ASSERT_EQ(kp.public_key.ModulusBytes(), kRsaMinModulusBytes);
+  EXPECT_TRUE(RsaVerify(kp.public_key, d, RsaSign(kp.private_key, d)));
 }
 
 TEST(RsaKeygenTest, DifferentSeedsDifferentKeys) {

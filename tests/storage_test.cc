@@ -89,6 +89,21 @@ TEST(StorageTest, PublicParamsRoundTrip) {
   EXPECT_TRUE(client.Verify(features, 3, resp.vo).ok());
 }
 
+// A modulus shorter than the signature encoding (kRsaMinModulusBytes) can
+// verify nothing, so params.bin carrying one is corrupt, not a usable key.
+TEST(StorageTest, ShortModulusParamsRejected) {
+  core::OwnerOutput owner = BuildSmallDeployment(core::Config::ImageProof());
+  Rng rng(5);
+  for (int bits : {0, 256, 8 * static_cast<int>(crypto::kRsaMinModulusBytes - 1)}) {
+    core::PublicParams params = owner.public_params;
+    params.public_key.n =
+        bits == 0 ? crypto::BigInt() : crypto::BigInt::RandomWithBits(bits, rng);
+    auto loaded = DeserializePublicParams(SerializePublicParams(params));
+    ASSERT_FALSE(loaded.ok()) << bits;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorrupted) << bits;
+  }
+}
+
 // A written .ipk file loads eagerly into memory through the same decoder.
 TEST(StorageTest, FileRoundTrip) {
   core::OwnerOutput owner = BuildSmallDeployment(core::Config::ImageProof());
