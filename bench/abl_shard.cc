@@ -7,7 +7,8 @@
 // closed loop times the full authenticated path the paper's client runs:
 // composite query -> CompositeClient::VerifyComposite, i.e. VERIFIED
 // latency, and reports p50/p99, throughput, and composite-VO bytes per
-// query for each shard count.
+// query for each shard count — split into the one shared BoVW section and
+// the per-shard inverted-only entries.
 //
 // Correctness is asserted in-bench, not assumed: for every pool query the
 // verified merged top-k (ids and exact scores) must be identical across all
@@ -56,6 +57,9 @@ struct ShardRun {
   double p99_ms = 0;
   double qps = 0;
   double vo_bytes = 0;  // mean composite bytes per query
+  // Of which: the shared BoVW section, and one shard's entry (mean).
+  double bovw_bytes = 0;
+  double entry_bytes = 0;
   size_t errors = 0;
   // Verified merged top-k per pool entry, for the cross-layout identity
   // check.
@@ -104,10 +108,11 @@ int main(int argc, char** argv) {
   std::printf("Extension — sharded scatter-gather serving "
               "(%zu images, %zu clusters, pool=%zu, k=%zu, %zu queries)\n",
               spec.num_images, spec.num_clusters, kPool, kTopK, kQueries);
-  std::printf("%7s | %10s %10s %10s %12s %8s\n", "shards", "qps", "p50_ms",
-              "p99_ms", "vo_bytes", "errors");
+  std::printf("%7s | %10s %10s %10s %12s %10s %11s %8s\n", "shards", "qps",
+              "p50_ms", "p99_ms", "vo_bytes", "bovw_bytes", "entry_bytes",
+              "errors");
   std::printf("---------------------------------------------------------"
-              "-------\n");
+              "-----------------------------\n");
 
   const std::vector<uint32_t> shard_counts{1, 2, 4};
   std::vector<ShardRun> runs;
@@ -167,7 +172,7 @@ int main(int argc, char** argv) {
 
     std::vector<double> latencies;
     latencies.reserve(kQueries);
-    size_t total_bytes = 0;
+    size_t total_bytes = 0, bovw_bytes = 0, entry_bytes = 0;
     Rng rng(7000);
     Stopwatch wall;
     for (size_t q = 0; q < kQueries; ++q) {
@@ -186,6 +191,15 @@ int main(int argc, char** argv) {
         continue;
       }
       total_bytes += r->size();
+      shard::CompositeVO cvo;
+      if (!shard::CompositeVO::Deserialize(*r, &cvo).ok()) {
+        ++run.errors;
+        continue;
+      }
+      bovw_bytes += cvo.bovw.ProofBytes();
+      for (const shard::CompositeEntry& e : cvo.entries) {
+        entry_bytes += e.vo_bytes.size();
+      }
     }
     const double wall_ms = wall.ElapsedMillis();
     std::sort(latencies.begin(), latencies.end());
@@ -194,18 +208,24 @@ int main(int argc, char** argv) {
     run.qps = latencies.empty()
                   ? 0.0
                   : static_cast<double>(latencies.size()) / (wall_ms / 1000.0);
-    run.vo_bytes = latencies.empty()
-                       ? 0.0
-                       : static_cast<double>(total_bytes) /
-                             static_cast<double>(latencies.size());
-    std::printf("%7u | %10.1f %10.3f %10.3f %12.0f %8zu\n", num_shards,
-                run.qps, run.p50_ms, run.p99_ms, run.vo_bytes, run.errors);
+    const double served = static_cast<double>(latencies.size());
+    if (served > 0) {
+      run.vo_bytes = static_cast<double>(total_bytes) / served;
+      run.bovw_bytes = static_cast<double>(bovw_bytes) / served;
+      run.entry_bytes = static_cast<double>(entry_bytes) / served / num_shards;
+    }
+    std::printf("%7u | %10.1f %10.3f %10.3f %12.0f %10.0f %11.0f %8zu\n",
+                num_shards, run.qps, run.p50_ms, run.p99_ms, run.vo_bytes,
+                run.bovw_bytes, run.entry_bytes, run.errors);
 
     const std::string prefix = "shard.s" + std::to_string(num_shards);
     BenchReport::Global().AddValue(prefix + ".qps", run.qps);
     BenchReport::Global().AddValue(prefix + ".p50_ms", run.p50_ms);
     BenchReport::Global().AddValue(prefix + ".p99_ms", run.p99_ms);
     BenchReport::Global().AddValue(prefix + ".vo_bytes", run.vo_bytes);
+    BenchReport::Global().AddValue(prefix + ".bovw_bytes", run.bovw_bytes);
+    BenchReport::Global().AddValue(prefix + ".entry_bytes_per_shard",
+                                   run.entry_bytes);
     BenchReport::Global().AddValue(prefix + ".errors",
                                    static_cast<double>(run.errors));
     runs.push_back(std::move(run));

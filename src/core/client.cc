@@ -76,26 +76,29 @@ Result<VerifiedResults> Client::Verify(
   return out;
 }
 
-Result<VerifiedResults> Client::VerifyImpl(
-    const std::vector<std::vector<float>>& features, size_t k,
-    const QueryVO& vo) const {
-  VerifiedResults out;
-  const Config& config = params_.config;
-  const size_t dims = params_.dims;
+namespace {
+
+// Steps 1-3: the reveal section, the MRKD replay, and the BoVW encoding.
+// The replayed root is returned, not checked against any signature.
+Status CheckBovw(const PublicParams& params,
+                 const std::vector<std::vector<float>>& features,
+                 const std::vector<double>& thresholds_sq,
+                 const Bytes& reveal_section,
+                 const std::vector<Bytes>& tree_vos, bool leaves_bind_lists,
+                 VerifiedBovw* out) {
+  const Config& config = params.config;
+  const size_t dims = params.dims;
   const size_t nq = features.size();
-  Stopwatch bovw_timer;
 
   for (const auto& f : features) {
-    if (f.size() != dims) {
-      return Result<VerifiedResults>::Error("client: feature dims mismatch");
-    }
+    if (f.size() != dims) return Status::Error("client: feature dims mismatch");
   }
-  if (vo.thresholds_sq.size() != nq) {
-    return Result<VerifiedResults>::Error("client: threshold count mismatch");
+  if (thresholds_sq.size() != nq) {
+    return Status::Error("client: threshold count mismatch");
   }
-  for (double t : vo.thresholds_sq) {
+  for (double t : thresholds_sq) {
     if (!(t >= 0) || !std::isfinite(t)) {
-      return Result<VerifiedResults>::Error("client: invalid threshold");
+      return Status::Error("client: invalid threshold");
     }
   }
 
@@ -104,49 +107,42 @@ Result<VerifiedResults> Client::VerifyImpl(
   obs::ScopedTimer reveal_timer(met.reveal_verify_us);
   std::vector<mrkd::ClusterReveal> reveals;
   {
-    ByteReader r(vo.reveal_section);
+    ByteReader r(reveal_section);
     Status s = mrkd::DeserializeReveals(r, dims, &reveals);
     if (!s.ok()) return s;
-    if (!r.AtEnd()) {
-      return Result<VerifiedResults>::Error("client: trailing reveal bytes");
-    }
+    if (!r.AtEnd()) return Status::Error("client: trailing reveal bytes");
   }
   // Table entry i is reveals[i]: the MRKD replay marks candidates by entry.
-  mrkd::CommitmentTable commitments;
   {
     std::vector<crypto::Digest> digests;
     Status s = mrkd::VerifyReveals(config.reveal_mode, dims, reveals, &digests);
     if (!s.ok()) return s;
     std::vector<mrkd::ClusterId> ids(reveals.size());
     for (size_t i = 0; i < reveals.size(); ++i) ids[i] = reveals[i].id;
-    if (!(s = commitments.Assign(ids, std::move(digests))).ok()) return s;
+    if (!(s = out->commitments.Assign(ids, std::move(digests))).ok()) return s;
   }
 
   reveal_timer.Stop();
 
-  // ---- Step 2: MRKD replay + root signature ----
+  // ---- Step 2: MRKD replay ----
   obs::ScopedTimer replay_timer(met.mrkd_replay_us);
   std::vector<const float*> queries(nq);
   for (size_t i = 0; i < nq; ++i) queries[i] = features[i].data();
 
-  if (vo.tree_vos.size() != static_cast<size_t>(config.forest.num_trees)) {
-    return Result<VerifiedResults>::Error("client: wrong number of tree VOs");
+  if (tree_vos.size() != static_cast<size_t>(config.forest.num_trees)) {
+    return Status::Error("client: wrong number of tree VOs");
   }
   mrkd::ForestVerifyOutput forest;
   {
-    Status s = mrkd::VerifyForestVo(vo.tree_vos, dims, commitments, queries,
-                                    vo.thresholds_sq, config.share_nodes,
-                                    &forest);
+    Status s = mrkd::VerifyForestVo(tree_vos, dims, out->commitments, queries,
+                                    thresholds_sq, config.share_nodes, &forest,
+                                    leaves_bind_lists);
     if (!s.ok()) return s;
   }
   crypto::DigestBuilder roots;
   for (const crypto::Digest& root : forest.roots) roots.AddDigest(root);
-  crypto::RsaVerifier verifier(params_.public_key);
-  out.root_digest = roots.Finalize();
-  if (!verifier.Verify(out.root_digest, params_.root_signature)) {
-    return Result<VerifiedResults>::Error(
-        "client: ADS root signature verification failed");
-  }
+  out->forest_root = roots.Finalize();
+  out->list_digests = std::move(forest.list_digests);
 
   replay_timer.Stop();
 
@@ -173,15 +169,14 @@ Result<VerifiedResults> Client::VerifyImpl(
       }
     }
     if (!any_candidate) {
-      return Result<VerifiedResults>::Error(
-          "client: no candidate cluster for a feature vector");
+      return Status::Error("client: no candidate cluster for a feature vector");
     }
     if (!have_full) {
-      return Result<VerifiedResults>::Error(
+      return Status::Error(
           "client: no fully revealed candidate for a feature vector");
     }
-    if (best > vo.thresholds_sq[i]) {
-      return Result<VerifiedResults>::Error(
+    if (best > thresholds_sq[i]) {
+      return Status::Error(
           "client: assigned cluster outside the search threshold");
     }
     // Every partially revealed candidate must be provably farther.
@@ -191,57 +186,46 @@ Result<VerifiedResults> Client::VerifyImpl(
       double lb = mrkd::PartialDistanceSq(queries[i], rev.dim_indices,
                                           rev.dim_values);
       if (lb <= best) {
-        return Result<VerifiedResults>::Error(
+        return Status::Error(
             "client: partial candidate not provably farther than assignment");
       }
     }
     assignment[i] = best_c;
   }
-  bovw::BovwVector query_bovw = bovw::CountAssignments(assignment);
-  bovw_check_timer.Stop();
-  out.client_bovw_ms = bovw_timer.ElapsedMillis();
+  out->query_bovw = bovw::CountAssignments(assignment);
+  return Status::Ok();
+}
 
-  // ---- Step 4: inverted-index VO ----
-  Stopwatch inv_timer;
-  obs::ScopedTimer inv_verify_timer(met.inv_verify_us);
+// Step 4 without the list-digest authentication, which depends on the
+// layout: the inverted-index VO scored on `query_bovw`.
+Status CheckInverted(const Config& config, const bovw::BovwVector& query_bovw,
+                     size_t k, const Bytes& search_vo,
+                     const std::vector<ResultImage>& results,
+                     invindex::InvVerifyResult* inv) {
   std::vector<ImageId> claimed;
-  claimed.reserve(vo.results.size());
-  for (const ResultImage& ri : vo.results) claimed.push_back(ri.id);
+  claimed.reserve(results.size());
+  for (const ResultImage& ri : results) claimed.push_back(ri.id);
+  return config.freq_grouped
+             ? freqgroup::FgVerifyVo(search_vo, query_bovw, claimed, k,
+                                     config.with_filters, inv)
+             : invindex::VerifyInvVo(search_vo, query_bovw, claimed, k,
+                                     config.with_filters, inv);
+}
 
-  invindex::InvVerifyResult inv;
-  Status s = config.freq_grouped
-                 ? freqgroup::FgVerifyVo(vo.inv_vo, query_bovw, claimed, k,
-                                         config.with_filters, &inv)
-                 : invindex::VerifyInvVo(vo.inv_vo, query_bovw, claimed, k,
-                                         config.with_filters, &inv);
-  if (!s.ok()) return s;
-
-  // Cross-check the reconstructed list digests against the MRKD-anchored
-  // ones. Every support cluster is an assigned cluster, hence a candidate,
-  // hence present in some revealed leaf.
-  for (const auto& [c, digest] : inv.list_digests) {
-    const uint32_t e = commitments.Find(c);
-    if (e == mrkd::CommitmentTable::kNotFound ||
-        !forest.list_digests[e].has_value()) {
-      return Result<VerifiedResults>::Error(
-          "client: support cluster not authenticated by any MRKD leaf");
-    }
-    if (*forest.list_digests[e] != digest) {
-      return Result<VerifiedResults>::Error(
-          "client: inverted-list digest mismatch (tampered posting data)");
-    }
-  }
-
-  inv_verify_timer.Stop();
-
-  // ---- Step 5: image payload signatures ----
+// Step 5: each signed result's Eq. (15) signature, then the verified
+// results in top-k order.
+Status CheckImages(const Config& config, const crypto::RsaVerifier& verifier,
+                   const std::vector<ResultImage>& results,
+                   const invindex::InvVerifyResult& inv,
+                   VerifiedResults* out) {
+  ClientMetrics& met = ClientMetrics::Get();
   obs::ScopedTimer sig_timer(met.sig_verify_us);
   {
     // Eq. (15) digests h(id | h(payload)) of every signed result, both
     // rounds batched across results.
     std::vector<const ResultImage*> signed_results;
     std::vector<BytesView> payloads;
-    for (const ResultImage& ri : vo.results) {
+    for (const ResultImage& ri : results) {
       if (!config.sign_images && ri.signature.empty()) continue;  // bench mode
       signed_results.push_back(&ri);
       payloads.emplace_back(ri.data);
@@ -260,26 +244,158 @@ Result<VerifiedResults> Client::VerifyImpl(
                              n);
     for (size_t i = 0; i < n; ++i) {
       if (!verifier.Verify(digests[i], signed_results[i]->signature)) {
-        return Result<VerifiedResults>::Error(
-            "client: image signature verification failed");
+        return Status::Error("client: image signature verification failed");
       }
     }
   }
 
   sig_timer.Stop();
 
-  out.topk = inv.topk;
-  out.topk_scores_exact = inv.topk_exact;
-  for (const auto& si : out.topk) {
-    for (const ResultImage& ri : vo.results) {
+  out->topk = inv.topk;
+  out->topk_scores_exact = inv.topk_exact;
+  for (const auto& si : out->topk) {
+    for (const ResultImage& ri : results) {
       if (ri.id == si.id) {
-        out.images.push_back(ri.data);
+        out->images.push_back(ri.data);
         break;
       }
     }
   }
+  return Status::Ok();
+}
+
+// Steps 4-5 of the split-root layout, scored on a verified BoVW step.
+Result<VerifiedResults> VerifySplitInverted(const PublicParams& params,
+                                            const VerifiedBovw& bovw, size_t k,
+                                            const QueryVO& vo) {
+  VerifiedResults out;
+  Stopwatch inv_timer;
+  ClientMetrics& met = ClientMetrics::Get();
+  obs::ScopedTimer inv_verify_timer(met.inv_verify_us);
+  invindex::InvVerifyResult inv;
+  Status s = CheckInverted(params.config, bovw.query_bovw, k, vo.inv_vo,
+                           vo.results, &inv);
+  if (!s.ok()) return s;
+
+  // The reconstructed list digests authenticate through the list tree: its
+  // root, with the codebook root the BoVW replay rebuilt, is the shard root
+  // the owner signed.
+  std::vector<uint32_t> indices;
+  std::vector<Bytes> leaves;
+  indices.reserve(inv.list_digests.size());
+  leaves.reserve(inv.list_digests.size());
+  for (const auto& [c, digest] : inv.list_digests) {
+    indices.push_back(c);
+    leaves.push_back(ListLeaf(digest));
+  }
+  crypto::Digest list_root;
+  s = merkle::ReconstructSubsetRoot(params.num_clusters, indices, leaves,
+                                    vo.list_proof, &list_root);
+  if (!s.ok()) {
+    return Result<VerifiedResults>::Error("client: bad list-tree proof: " +
+                                          s.message());
+  }
+  crypto::RsaVerifier verifier(params.public_key);
+  out.root_digest = SplitRootDigest(bovw.forest_root, list_root);
+  if (!verifier.Verify(out.root_digest, params.root_signature)) {
+    return Result<VerifiedResults>::Error(
+        "client: shard root signature verification failed");
+  }
+
+  inv_verify_timer.Stop();
+
+  if (!(s = CheckImages(params.config, verifier, vo.results, inv, &out))
+           .ok()) {
+    return s;
+  }
   out.client_inv_ms = inv_timer.ElapsedMillis();
   return out;
+}
+
+}  // namespace
+
+Result<VerifiedResults> Client::VerifyImpl(
+    const std::vector<std::vector<float>>& features, size_t k,
+    const QueryVO& vo) const {
+  Stopwatch bovw_timer;
+  VerifiedBovw bovw;
+  Status s = CheckBovw(params_, features, vo.thresholds_sq, vo.reveal_section,
+                       vo.tree_vos, /*leaves_bind_lists=*/!params_.split_root,
+                       &bovw);
+  if (!s.ok()) return s;
+  if (params_.split_root) {
+    const double bovw_ms = bovw_timer.ElapsedMillis();
+    Result<VerifiedResults> out = VerifySplitInverted(params_, bovw, k, vo);
+    if (out.ok()) out->client_bovw_ms = bovw_ms;
+    return out;
+  }
+  if (!vo.list_proof.empty()) {
+    return Result<VerifiedResults>::Error(
+        "client: list-tree proof in a single-root VO");
+  }
+  VerifiedResults out;
+  crypto::RsaVerifier verifier(params_.public_key);
+  out.root_digest = bovw.forest_root;
+  if (!verifier.Verify(out.root_digest, params_.root_signature)) {
+    return Result<VerifiedResults>::Error(
+        "client: ADS root signature verification failed");
+  }
+  out.client_bovw_ms = bovw_timer.ElapsedMillis();
+
+  // ---- Step 4: inverted-index VO ----
+  Stopwatch inv_timer;
+  ClientMetrics& met = ClientMetrics::Get();
+  obs::ScopedTimer inv_verify_timer(met.inv_verify_us);
+  invindex::InvVerifyResult inv;
+  s = CheckInverted(params_.config, bovw.query_bovw, k, vo.inv_vo, vo.results,
+                    &inv);
+  if (!s.ok()) return s;
+
+  // Cross-check the reconstructed list digests against the MRKD-anchored
+  // ones. Every support cluster is an assigned cluster, hence a candidate,
+  // hence present in some revealed leaf.
+  for (const auto& [c, digest] : inv.list_digests) {
+    const uint32_t e = bovw.commitments.Find(c);
+    if (e == mrkd::CommitmentTable::kNotFound ||
+        !bovw.list_digests[e].has_value()) {
+      return Result<VerifiedResults>::Error(
+          "client: support cluster not authenticated by any MRKD leaf");
+    }
+    if (*bovw.list_digests[e] != digest) {
+      return Result<VerifiedResults>::Error(
+          "client: inverted-list digest mismatch (tampered posting data)");
+    }
+  }
+
+  inv_verify_timer.Stop();
+
+  // ---- Step 5: image payload signatures ----
+  if (!(s = CheckImages(params_.config, verifier, vo.results, inv, &out))
+           .ok()) {
+    return s;
+  }
+  out.client_inv_ms = inv_timer.ElapsedMillis();
+  return out;
+}
+
+Result<VerifiedBovw> Client::VerifyBovwSection(
+    const std::vector<std::vector<float>>& features,
+    const BovwSection& section) const {
+  VerifiedBovw out;
+  Status s = CheckBovw(params_, features, section.thresholds_sq,
+                       section.reveal_section, section.tree_vos,
+                       /*leaves_bind_lists=*/false, &out);
+  if (!s.ok()) return s;
+  return out;
+}
+
+Result<VerifiedResults> Client::VerifyEntry(const VerifiedBovw& bovw, size_t k,
+                                            const QueryVO& entry) const {
+  if (entry.has_bovw_section()) {
+    return Result<VerifiedResults>::Error(
+        "client: entry carries its own BoVW section");
+  }
+  return VerifySplitInverted(params_, bovw, k, entry);
 }
 
 }  // namespace imageproof::core

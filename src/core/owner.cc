@@ -21,10 +21,49 @@ crypto::Digest ImageDigest(ImageId id, const Bytes& data) {
 
 }  // namespace
 
-crypto::Digest SpPackage::RootDigest() const {
+// Domain tag of the split-root preimage, so it can never be read as the
+// single-root h(root_1 | root_2) of a two-tree forest.
+constexpr uint32_t kSplitRootTag = 0x54525053;  // "SPRT" on the wire
+
+crypto::Digest SplitRootDigest(const crypto::Digest& codebook_root,
+                               const crypto::Digest& list_root) {
+  return crypto::DigestBuilder()
+      .AddU32(kSplitRootTag)
+      .AddDigest(codebook_root)
+      .AddDigest(list_root)
+      .Finalize();
+}
+
+Bytes ListLeaf(const crypto::Digest& list_digest) {
+  return Bytes(list_digest.bytes.begin(), list_digest.bytes.end());
+}
+
+crypto::Digest SpPackage::ForestRoot() const {
   crypto::DigestBuilder b;
   for (const auto& tree : mrkd_trees) b.AddDigest(tree->root_digest());
   return b.Finalize();
+}
+
+crypto::Digest SpPackage::RootDigest() const {
+  return list_tree ? SplitRootDigest(ForestRoot(), list_tree->root())
+                   : ForestRoot();
+}
+
+void SpPackage::BuildAds(bool split) {
+  mrkd_trees.clear();
+  mrkd::ClusterCommitments(config.reveal_mode, codebook, &cluster_commitments);
+  for (const auto& tree : forest->trees()) {
+    mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
+        tree.get(), config.reveal_mode, split ? nullptr : &list_digests,
+        &cluster_commitments));
+  }
+  list_tree.reset();
+  if (split) {
+    std::vector<Bytes> leaves;
+    leaves.reserve(list_digests.size());
+    for (const crypto::Digest& d : list_digests) leaves.push_back(ListLeaf(d));
+    list_tree = std::make_unique<merkle::MerkleTree>(leaves);
+  }
 }
 
 size_t SpPackage::NumImages() const {
@@ -93,7 +132,9 @@ size_t SpPackage::AdsBytes() const {
   for (const auto& tree : mrkd_trees) {
     n += tree->tree().nodes().size() * crypto::kDigestSize;
   }
-  n += codebook.size() * crypto::kDigestSize;
+  n += cluster_commitments.size() * crypto::kDigestSize;
+  // The list tree keeps every level: < 2 digests per cluster.
+  if (list_tree) n += 2 * list_tree->leaf_count() * crypto::kDigestSize;
   // Inverted-index digests and filters.
   if (inv_index) {
     for (size_t c = 0; c < inv_index->num_clusters(); ++c) {
@@ -177,10 +218,7 @@ OwnerOutput BuildDeployment(
 
   // Randomized k-d forest and the MRKD decorations.
   pkg.forest = std::make_unique<ann::RkdForest>(pkg.codebook, config.forest);
-  for (const auto& tree : pkg.forest->trees()) {
-    pkg.mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
-        tree.get(), config.reveal_mode, pkg.list_digests));
-  }
+  pkg.BuildAds(overrides.split_root);
 
   // Public parameters: signed ADS digest.
   out.public_params.config = config;
@@ -189,6 +227,7 @@ OwnerOutput BuildDeployment(
       crypto::RsaSign(keys.private_key, pkg.RootDigest());
   out.public_params.dims = pkg.codebook.dims();
   out.public_params.num_clusters = num_clusters;
+  out.public_params.split_root = overrides.split_root;
   out.private_key = keys.private_key;
   return out;
 }

@@ -23,6 +23,7 @@
 #include "core/vo.h"
 #include "freqgroup/fg_index.h"
 #include "invindex/merkle_inv_index.h"
+#include "merkle/merkle_tree.h"
 #include "mrkd/mrkd_tree.h"
 
 namespace imageproof::core {
@@ -64,11 +65,18 @@ struct SpPackage {
   std::unordered_map<ImageId, Bytes> image_signatures;
 
   std::unique_ptr<ann::RkdForest> forest;
+  // Cluster commitments of the codebook, shared by every MRKD-tree.
+  std::vector<crypto::Digest> cluster_commitments;
   std::vector<std::unique_ptr<mrkd::MrkdTree>> mrkd_trees;
   // Exactly one of the two indexes is populated, per config.freq_grouped.
   std::unique_ptr<invindex::MerkleInvertedIndex> inv_index;
   std::unique_ptr<freqgroup::FgInvertedIndex> fg_index;
   std::vector<crypto::Digest> list_digests;
+  // Split-root layout (sharded deployments, shard/planner.h): set iff the
+  // MRKD-trees are codebook-only and the inverted lists hang off this
+  // Merkle tree instead, leaf c committing list_digests[c]. Null for the
+  // paper's single-root layout.
+  std::unique_ptr<merkle::MerkleTree> list_tree;
 
   // Set for a disk-backed package: image payloads come from here and the
   // two maps above stay empty. `backing` pins whatever owns the source
@@ -93,8 +101,19 @@ struct SpPackage {
   // equal".
   bool ImagesEqual(const SpPackage& other) const;
 
-  // h(root_1 | ... | root_{n_t}).
+  bool split_root() const { return list_tree != nullptr; }
+
+  // h(root_1 | ... | root_{n_t}) over the MRKD-trees.
+  crypto::Digest ForestRoot() const;
+  // The signed root: ForestRoot() in the single-root layout, and
+  // SplitRootDigest(ForestRoot(), list_tree->root()) in the split layout.
   crypto::Digest RootDigest() const;
+
+  // Builds the cluster commitments and the MRKD decorations over `forest`
+  // from `codebook` and `list_digests` — plus, when `split`, the list tree
+  // — replacing any previous ones. Called once the forest and the inverted
+  // index exist.
+  void BuildAds(bool split);
 
   // Rough memory footprint of the ADS components (digests + filters), for
   // reporting.
@@ -122,7 +141,17 @@ struct OwnerOutput {
 struct BuildOverrides {
   const bovw::ClusterWeights* weights = nullptr;
   const crypto::RsaKeyPair* keys = nullptr;
+  // Build the split-root layout (SpPackage::list_tree).
+  bool split_root = false;
 };
+
+// The signed root of a split-root package: one codebook forest root shared
+// by every shard, and the shard's own list-tree root.
+crypto::Digest SplitRootDigest(const crypto::Digest& codebook_root,
+                               const crypto::Digest& list_root);
+
+// The list-tree leaf payload committing one inverted-list digest.
+Bytes ListLeaf(const crypto::Digest& list_digest);
 
 // Builds the whole deployment. `corpus` pairs image ids with their BoVW
 // vectors (pre-encoded; see workload/ or the sift+ann pipeline), and

@@ -24,28 +24,59 @@ QueryCache::QueryCache(size_t capacity) : capacity_(capacity) {
   }
 }
 
+namespace {
+
+// Flag bit of a serve for a proven BoVW vector (ProvenKey).
+constexpr uint8_t kProvenFlag = 8;
+
+// Starts a key over (version, flags, k, n): length-prefixed framing so no
+// two distinct (version, flags, k, items) tuples can collide by
+// concatenation ambiguity.
+crypto::Sha3_256 KeyHeader(uint64_t version, uint8_t flags, size_t k,
+                           uint64_t n) {
+  crypto::Sha3_256 h;
+  uint8_t header[8 + 1 + 8 + 8];
+  std::memcpy(header, &version, 8);
+  header[8] = flags;
+  uint64_t kk = k;
+  std::memcpy(header + 9, &kk, 8);
+  std::memcpy(header + 17, &n, 8);
+  h.Update(header, sizeof(header));
+  return h;
+}
+
+}  // namespace
+
 crypto::Digest QueryCache::Key(
     uint64_t version, bool compress_vo, size_t k,
     const std::vector<std::vector<float>>& features, bool settle_exact_topk) {
-  crypto::Sha3_256 h;
-  // Length-prefixed framing so no two distinct (version, flags, k, features)
-  // tuples can collide by concatenation ambiguity.
-  uint8_t header[8 + 1 + 8 + 8];
-  uint64_t v = version;
-  std::memcpy(header, &v, 8);
-  header[8] = static_cast<uint8_t>((compress_vo ? 1 : 0) |
-                                   (settle_exact_topk ? 2 : 0));
-  uint64_t kk = k;
-  std::memcpy(header + 9, &kk, 8);
-  uint64_t nq = features.size();
-  std::memcpy(header + 17, &nq, 8);
-  h.Update(header, sizeof(header));
+  crypto::Sha3_256 h = KeyHeader(
+      version,
+      static_cast<uint8_t>((compress_vo ? 1 : 0) | (settle_exact_topk ? 2 : 0)),
+      k, features.size());
   for (const std::vector<float>& f : features) {
     uint64_t dims = f.size();
     uint8_t len[8];
     std::memcpy(len, &dims, 8);
     h.Update(len, 8);
     h.Update(reinterpret_cast<const uint8_t*>(f.data()), f.size() * 4);
+  }
+  return h.Finalize();
+}
+
+crypto::Digest QueryCache::ProvenKey(uint64_t version, bool compress_vo,
+                                     size_t k, const bovw::BovwVector& bovw,
+                                     bool settle_exact_topk) {
+  crypto::Sha3_256 h = KeyHeader(
+      version,
+      static_cast<uint8_t>((compress_vo ? 1 : 0) |
+                           (settle_exact_topk ? 2 : 0) | kProvenFlag),
+      k, bovw.entries.size());
+  for (const auto& [c, f] : bovw.entries) {
+    uint8_t entry[8];
+    std::memcpy(entry, &c, 4);
+    std::memcpy(entry + 4, &f, 4);
+    h.Update(entry, sizeof(entry));
   }
   return h.Finalize();
 }

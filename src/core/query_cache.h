@@ -74,6 +74,13 @@ class QueryCache {
   static crypto::Digest Key(uint64_t version, bool compress_vo, size_t k,
                             const std::vector<std::vector<float>>& features,
                             bool settle_exact_topk = false);
+  // Key of a serve for an already proven BoVW vector (the inverted-only
+  // entry of a sharded composite): keyed on the vector, so every query
+  // that encodes to it shares one entry. Never equal to a Key() digest
+  // (distinct flag bit).
+  static crypto::Digest ProvenKey(uint64_t version, bool compress_vo,
+                                  size_t k, const bovw::BovwVector& bovw,
+                                  bool settle_exact_topk);
 
   // Returns the cached response and refreshes its LRU position, or null on
   // miss.

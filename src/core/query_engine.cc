@@ -76,9 +76,10 @@ std::future<EngineResponse> QueryEngine::ReadyResponse(Status status) {
 EngineResponse QueryEngine::Serve(
     const std::shared_ptr<const Snapshot>& snap,
     const std::vector<std::vector<float>>& features, size_t k,
-    bool compress_vo, bool settle_exact_topk, obs::TimePoint enqueued,
+    const SubmitOptions& submit_options, obs::TimePoint enqueued,
     Clock::time_point deadline) {
   queue_wait_us_.Record(obs::ElapsedUs(enqueued));
+  const bool compress_vo = submit_options.compress_vo;
   EngineResponse out;
   out.snapshot = snap;
   const bool has_deadline = deadline != Clock::time_point{};
@@ -110,8 +111,12 @@ EngineResponse QueryEngine::Serve(
   crypto::Digest cache_key;
   const bool use_cache = cache_ != nullptr;
   if (use_cache) {
-    cache_key = QueryCache::Key(snap->version, compress_vo, k, features,
-                                settle_exact_topk);
+    cache_key = submit_options.proven_bovw
+                    ? QueryCache::ProvenKey(snap->version, compress_vo, k,
+                                            *submit_options.proven_bovw,
+                                            submit_options.settle_exact_topk)
+                    : QueryCache::Key(snap->version, compress_vo, k, features,
+                                      submit_options.settle_exact_topk);
     if (std::shared_ptr<const QueryResponse> hit = cache_->Lookup(cache_key)) {
       out.response = *hit;
       out.status = Status::Ok();
@@ -129,8 +134,9 @@ EngineResponse QueryEngine::Serve(
       has_deadline ? QueryControl(deadline) : QueryControl();
   ServeOptions serve;
   serve.compress_vo = compress_vo;
-  serve.settle_exact_topk = settle_exact_topk;
+  serve.settle_exact_topk = submit_options.settle_exact_topk;
   serve.memo = snap->memo.get();
+  serve.proven_bovw = submit_options.proven_bovw.get();
   out.status =
       sp.Query(features, k, par, control, serve, &out.response, scratch);
   latency_timer.Stop();
@@ -144,9 +150,12 @@ EngineResponse QueryEngine::Serve(
                      std::make_shared<const QueryResponse>(out.response));
     }
   } else {
-    // Only deadline expiry can surface here; the partial response must not
-    // leak (a half-built VO would fail verification in confusing ways).
-    deadline_exceeded_.Add();
+    // Deadline expiry, or a malformed proven vector; the partial response
+    // must not leak (a half-built VO would fail verification in confusing
+    // ways).
+    if (out.status.code() == StatusCode::kDeadlineExceeded) {
+      deadline_exceeded_.Add();
+    }
     out.response = QueryResponse{};
   }
   return out;
@@ -175,11 +184,10 @@ std::future<EngineResponse> QueryEngine::SubmitWithPolicy(
   // observed, even if it sits in the queue across the swap.
   std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
   obs::TimePoint enqueued = obs::Now();
-  const bool compress_vo = submit_options.compress_vo;
-  const bool settle = submit_options.settle_exact_topk;
   auto task = [this, snap = std::move(snap), features = std::move(features),
-               k, compress_vo, settle, enqueued, deadline] {
-    return Serve(snap, features, k, compress_vo, settle, enqueued, deadline);
+               k, submit_options = std::move(submit_options), enqueued,
+               deadline] {
+    return Serve(snap, features, k, submit_options, enqueued, deadline);
   };
   if (policy == OverloadPolicy::kBlock) {
     // PR-1 backpressure semantics: a full queue blocks the submitter. If
@@ -229,12 +237,11 @@ void QueryEngine::SubmitAsync(std::vector<std::vector<float>> features,
   // answer from the state it observed when the query was accepted.
   std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
   obs::TimePoint enqueued = obs::Now();
-  const bool compress_vo = submit_options.compress_vo;
-  const bool settle = submit_options.settle_exact_topk;
   auto task = [this, snap = std::move(snap), features = std::move(features),
-               k, compress_vo, settle, enqueued, deadline, shared_done] {
+               k, submit_options = std::move(submit_options), enqueued,
+               deadline, shared_done] {
     (*shared_done)(
-        Serve(snap, features, k, compress_vo, settle, enqueued, deadline));
+        Serve(snap, features, k, submit_options, enqueued, deadline));
   };
   std::future<void> fut;
   switch (pool_.TrySubmit(std::move(task), &fut)) {

@@ -137,6 +137,10 @@ struct SubmitOptions {
   // the shard coordinator: the authenticated merge of per-shard results is
   // only sound when each shard's scores are exact, not lower bounds.
   bool settle_exact_topk = false;
+  // Sharded composites (shard/coordinator.h): skip the BoVW step for this
+  // vector, which another shard proved (ServeOptions::proven_bovw;
+  // `features` then go unread, and the cache keys on the vector).
+  std::shared_ptr<const bovw::BovwVector> proven_bovw;
 };
 
 // One immutable published state of the deployment. `params.root_signature`
@@ -313,7 +317,7 @@ class QueryEngine {
   // result cache (if enabled) before running the pipeline.
   EngineResponse Serve(const std::shared_ptr<const Snapshot>& snap,
                        const std::vector<std::vector<float>>& features,
-                       size_t k, bool compress_vo, bool settle_exact_topk,
+                       size_t k, const SubmitOptions& submit_options,
                        obs::TimePoint enqueued, Clock::time_point deadline);
 
   // Clone-apply-validate-swap core of both update entry points, with the

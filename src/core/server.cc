@@ -66,11 +66,11 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
   return Query(features, k, par, control, ServeOptions(), out, scratch);
 }
 
-Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
-                              size_t k, const QueryParallelism& par,
-                              const QueryControl& control,
-                              const ServeOptions& serve, QueryResponse* out,
-                              QueryScratch* scratch) const {
+Status ServiceProvider::EncodeBovw(
+    const std::vector<std::vector<float>>& features,
+    const QueryParallelism& par, const QueryControl& control,
+    const ServeOptions& serve, bool with_proof, QueryResponse* out,
+    QueryScratch* scratch) const {
   QueryResponse& resp = *out;
   const Config& config = pkg_->config;
   const ann::PointSet& codebook = pkg_->codebook;
@@ -92,12 +92,7 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
 
   Stopwatch bovw_timer;
   SpMetrics& met = SpMetrics::Get();
-  met.queries.Add();
   met.features.Add(nq);
-
-  if (control.Expired()) {
-    return Status::DeadlineExceeded("sp: deadline expired before query start");
-  }
 
   // Step 1: AKM search for thresholds. Chunked so each worker lane reuses
   // one scratch queue across its features; the chunk size is a function of
@@ -123,7 +118,7 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
         },
         threads);
   }
-  resp.vo.thresholds_sq = thresholds_sq;
+  if (with_proof) resp.vo.thresholds_sq = thresholds_sq;
   akm_timer.Stop();
 
   if (control.Expired()) {
@@ -160,7 +155,7 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
     resp.stats.mrkd.traversed_nodes += out.stats.traversed_nodes;
     resp.stats.mrkd.shared_nodes += out.stats.shared_nodes;
     resp.stats.mrkd.pruned_subtrees += out.stats.pruned_subtrees;
-    resp.vo.tree_vos.push_back(std::move(out.vo));
+    if (with_proof) resp.vo.tree_vos.push_back(std::move(out.vo));
   }
 
   mrkd_timer.Stop();
@@ -192,6 +187,15 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
         assigned_dist[i] = best;
       },
       threads, /*grain=*/1);
+
+  // Step 4: BoVW encoding. Without a proof to build, this is the answer.
+  std::vector<bovw::ClusterId> assigned_ids(assignment.begin(),
+                                            assignment.end());
+  resp.query_bovw = bovw::CountAssignments(assigned_ids);
+  if (!with_proof) {
+    resp.stats.sp_bovw_ms = bovw_timer.ElapsedMillis();
+    return Status::Ok();
+  }
 
   // Which queries must each candidate be excluded for, and which clusters
   // must be revealed fully (someone's assigned cluster).
@@ -228,20 +232,48 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
   ByteWriter reveal_writer;
   mrkd::SerializeReveals(reveals, reveal_writer);
   resp.vo.reveal_section = reveal_writer.Take();
-
-  // Step 4: BoVW encoding.
-  std::vector<bovw::ClusterId> assigned_ids(assignment.begin(), assignment.end());
-  bovw::BovwVector query_bovw = bovw::CountAssignments(assigned_ids);
   assign_timer.Stop();
   resp.stats.sp_bovw_ms = bovw_timer.ElapsedMillis();
   resp.stats.bovw_vo_bytes =
       resp.vo.reveal_section.size() + nq * sizeof(double);
   for (const Bytes& t : resp.vo.tree_vos) resp.stats.bovw_vo_bytes += t.size();
   met.bovw_vo_bytes.Record(resp.stats.bovw_vo_bytes);
+  return Status::Ok();
+}
+
+Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
+                              size_t k, const QueryParallelism& par,
+                              const QueryControl& control,
+                              const ServeOptions& serve, QueryResponse* out,
+                              QueryScratch* scratch) const {
+  QueryResponse& resp = *out;
+  const Config& config = pkg_->config;
+  SpMetrics& met = SpMetrics::Get();
+  met.queries.Add();
 
   if (control.Expired()) {
-    return Status::DeadlineExceeded("sp: deadline expired after BoVW stage");
+    return Status::DeadlineExceeded("sp: deadline expired before query start");
   }
+
+  // Steps 1-4, unless the vector arrives already proven.
+  if (serve.proven_bovw != nullptr) {
+    const bovw::BovwVector& v = *serve.proven_bovw;
+    for (size_t i = 0; i < v.entries.size(); ++i) {
+      if (v.entries[i].first >= pkg_->codebook.size() ||
+          (i > 0 && v.entries[i].first <= v.entries[i - 1].first)) {
+        return Status::Error("sp: malformed proven BoVW vector");
+      }
+    }
+    resp.query_bovw = v;
+  } else {
+    Status s = EncodeBovw(features, par, control, serve, /*with_proof=*/true,
+                          out, scratch);
+    if (!s.ok()) return s;
+    if (control.Expired()) {
+      return Status::DeadlineExceeded("sp: deadline expired after BoVW stage");
+    }
+  }
+  const bovw::BovwVector& query_bovw = resp.query_bovw;
 
   // Step 5: inverted-index search.
   Stopwatch inv_timer;
@@ -264,6 +296,14 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
     resp.topk = std::move(r.topk);
     resp.vo.inv_vo = std::move(r.vo);
     resp.stats.inv = r.stats;
+  }
+  if (pkg_->split_root()) {
+    // The list-tree multiproof of the support clusters, which the client
+    // cannot read off any MRKD leaf in this layout.
+    std::vector<uint32_t> support;
+    support.reserve(query_bovw.entries.size());
+    for (const auto& [c, f] : query_bovw.entries) support.push_back(c);
+    resp.vo.list_proof = pkg_->list_tree->ProveSubset(support);
   }
   inv_stage_timer.Stop();
   resp.stats.sp_inv_ms = inv_timer.ElapsedMillis();

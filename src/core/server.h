@@ -10,8 +10,11 @@
 //      and builds the shared candidate-reveal section (full vectors, or
 //      partial dimensions under Optimization A),
 //   4. encodes B_Q and runs InvSearch (or FgSearch) for the top-k and
-//      VO_inv,
+//      VO_inv — in the split-root layout of a shard, plus the list-tree
+//      multiproof of B_Q's clusters,
 //   5. attaches the result images and their Eq. (15) signatures.
+// A shard serving a sharded composite runs steps 1-3 alone (EncodeBovw) or
+// skips them for a vector another shard proved (ServeOptions::proven_bovw).
 
 #ifndef IMAGEPROOF_CORE_SERVER_H_
 #define IMAGEPROOF_CORE_SERVER_H_
@@ -38,6 +41,9 @@ struct QueryResponse {
   std::vector<bovw::ScoredImage> topk;
   QueryVO vo;
   QueryStats stats;
+  // The BoVW vector the inverted step scored (what the BoVW section of
+  // `vo`, when present, proves).
+  bovw::BovwVector query_bovw;
 };
 
 // Intra-query parallelism knobs. The hot loops of Query — the per-feature
@@ -109,6 +115,11 @@ struct ServeOptions {
   // Per-snapshot proof memo (core/proof_memo.h) for sharing derived MRKD
   // proof bytes across concurrent queries. Never changes VO bytes.
   const class ProofMemo* memo = nullptr;
+  // Skip steps 1-4 and serve the inverted step for this vector, already
+  // proven by another shard of the same codebook forest; `features` are
+  // not read and the VO's BoVW fields stay empty. A vector with unsorted
+  // or out-of-range clusters is rejected.
+  const bovw::BovwVector* proven_bovw = nullptr;
 };
 
 class ServiceProvider {
@@ -142,6 +153,17 @@ class ServiceProvider {
                const QueryParallelism& par, const QueryControl& control,
                const ServeOptions& serve, QueryResponse* out,
                QueryScratch* scratch = nullptr) const;
+
+  // Steps 1-3 and the BoVW encoding alone: thresholds, MRKD search,
+  // assignment and, `with_proof`, the reveals. Sets out->query_bovw and,
+  // `with_proof`, the VO's BoVW fields; Query continues from here. Alone,
+  // it is the BoVW proof of a sharded composite, which every shard's entry
+  // shares (shard/coordinator.h) — or, without the proof, a shard's own
+  // encoding of the vector another shard proves.
+  Status EncodeBovw(const std::vector<std::vector<float>>& features,
+                    const QueryParallelism& par, const QueryControl& control,
+                    const ServeOptions& serve, bool with_proof,
+                    QueryResponse* out, QueryScratch* scratch = nullptr) const;
 
   const SpPackage& package() const { return *pkg_; }
 

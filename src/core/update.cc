@@ -17,15 +17,23 @@ crypto::Digest ImageDigest(ImageId id, const Bytes& data) {
 }
 
 // Propagates the changed list digests of `clusters` through every MRKD-tree
-// and re-signs the new root.
+// — or, in the split-root layout, along the list tree's leaf-to-root paths,
+// leaving the shared codebook forest untouched — and re-signs the new root.
 size_t RefreshAndResign(SpPackage* package,
                         const crypto::RsaPrivateKey& owner_key,
                         PublicParams* public_params,
                         const std::vector<bovw::ClusterId>& clusters) {
   size_t rehashed = 0;
-  for (auto& tree : package->mrkd_trees) {
+  if (package->split_root()) {
     for (bovw::ClusterId c : clusters) {
-      rehashed += tree->RefreshListDigest(c);
+      rehashed += package->list_tree->UpdateLeaf(
+          c, ListLeaf(package->list_digests[c]));
+    }
+  } else {
+    for (auto& tree : package->mrkd_trees) {
+      for (bovw::ClusterId c : clusters) {
+        rehashed += tree->RefreshListDigest(c);
+      }
     }
   }
   public_params->root_signature =

@@ -23,6 +23,8 @@ namespace imageproof::core {
 
 struct UpdateStats {
   size_t lists_updated = 0;
+  // ADS nodes rehashed: MRKD-tree nodes, or list-tree digests in the
+  // split-root layout.
   size_t mrkd_nodes_rehashed = 0;
   // SHA3 message digests computed by this update (crypto::HashInvocations()
   // delta) — the benchmark's evidence that the incremental path does

@@ -1,36 +1,31 @@
 #include "core/vo.h"
 
+#include "crypto/hasher.h"
+
 namespace imageproof::core {
 
-size_t QueryVO::TotalBytes() const {
-  size_t n = ProofBytes();
-  for (const ResultImage& r : results) n += r.data.size();
-  return n;
-}
+namespace {
 
-size_t QueryVO::ProofBytes() const {
-  size_t n = reveal_section.size() + inv_vo.size() +
-             thresholds_sq.size() * sizeof(double);
-  for (const Bytes& t : tree_vos) n += t.size();
-  for (const ResultImage& r : results) n += r.signature.size();
-  return n;
-}
-
-Bytes QueryVO::Serialize() const {
-  ByteWriter w;
+void PutBovwFields(ByteWriter& w, const std::vector<double>& thresholds_sq,
+                   const Bytes& reveal_section,
+                   const std::vector<Bytes>& tree_vos) {
   w.PutVarint(thresholds_sq.size());
   for (double t : thresholds_sq) w.PutF64(t);
   w.PutBlob(reveal_section);
   w.PutVarint(tree_vos.size());
   for (const Bytes& t : tree_vos) w.PutBlob(t);
-  w.PutBlob(inv_vo);
-  w.PutVarint(results.size());
-  for (const ResultImage& r : results) {
-    w.PutVarint(r.id);
-    w.PutBlob(r.data);
-    w.PutBlob(r.signature);
-  }
-  return w.Take();
+}
+
+}  // namespace
+
+size_t BovwSection::ProofBytes() const {
+  size_t n = reveal_section.size() + thresholds_sq.size() * sizeof(double);
+  for (const Bytes& t : tree_vos) n += t.size();
+  return n;
+}
+
+void BovwSection::Serialize(ByteWriter& w) const {
+  PutBovwFields(w, thresholds_sq, reveal_section, tree_vos);
 }
 
 // Every count read below is capped against the bytes actually remaining
@@ -38,8 +33,7 @@ Bytes QueryVO::Serialize() const {
 // adversarial length prefix can never drive an allocation larger than the
 // input itself — a truncated, spliced, or bit-flipped VO costs at most one
 // linear parse and yields kCorrupted.
-Status QueryVO::Deserialize(const Bytes& data, QueryVO* out) {
-  ByteReader r(data);
+Status BovwSection::Deserialize(ByteReader& r, BovwSection* out) {
   uint64_t n;
   Status s = r.GetVarint(&n);
   if (!s.ok()) return s;
@@ -60,7 +54,62 @@ Status QueryVO::Deserialize(const Bytes& data, QueryVO* out) {
   for (uint64_t i = 0; i < n; ++i) {
     if (!(s = r.GetBlob(&out->tree_vos[i])).ok()) return s;
   }
+  return Status::Ok();
+}
+
+BovwSection QueryVO::TakeBovwSection() {
+  BovwSection out;
+  out.thresholds_sq = std::move(thresholds_sq);
+  out.reveal_section = std::move(reveal_section);
+  out.tree_vos = std::move(tree_vos);
+  thresholds_sq.clear();
+  reveal_section.clear();
+  tree_vos.clear();
+  return out;
+}
+
+size_t QueryVO::TotalBytes() const {
+  size_t n = ProofBytes();
+  for (const ResultImage& r : results) n += r.data.size();
+  return n;
+}
+
+size_t QueryVO::ProofBytes() const {
+  size_t n = reveal_section.size() + inv_vo.size() +
+             thresholds_sq.size() * sizeof(double);
+  for (const Bytes& t : tree_vos) n += t.size();
+  for (const ResultImage& r : results) n += r.signature.size();
+  return n + list_proof.size() * crypto::kDigestSize;
+}
+
+Bytes QueryVO::Serialize() const {
+  ByteWriter w;
+  PutBovwFields(w, thresholds_sq, reveal_section, tree_vos);
+  w.PutBlob(inv_vo);
+  w.PutVarint(results.size());
+  for (const ResultImage& r : results) {
+    w.PutVarint(r.id);
+    w.PutBlob(r.data);
+    w.PutBlob(r.signature);
+  }
+  if (!list_proof.empty()) {
+    w.PutVarint(list_proof.size());
+    for (const crypto::Digest& d : list_proof) crypto::PutDigest(w, d);
+  }
+  return w.Take();
+}
+
+// Same allocation discipline as BovwSection::Deserialize.
+Status QueryVO::Deserialize(const Bytes& data, QueryVO* out) {
+  ByteReader r(data);
+  BovwSection bovw;
+  Status s = BovwSection::Deserialize(r, &bovw);
+  if (!s.ok()) return s;
+  out->thresholds_sq = std::move(bovw.thresholds_sq);
+  out->reveal_section = std::move(bovw.reveal_section);
+  out->tree_vos = std::move(bovw.tree_vos);
   if (!(s = r.GetBlob(&out->inv_vo)).ok()) return s;
+  uint64_t n;
   if (!(s = r.GetVarint(&n)).ok()) return s;
   if (n > r.remaining() / 3) {  // id + two length prefixes minimum
     return Status::Corrupted("vo: result count exceeds input size");
@@ -72,6 +121,18 @@ Status QueryVO::Deserialize(const Bytes& data, QueryVO* out) {
     out->results[i].id = id;
     if (!(s = r.GetBlob(&out->results[i].data)).ok()) return s;
     if (!(s = r.GetBlob(&out->results[i].signature)).ok()) return s;
+  }
+  out->list_proof.clear();
+  if (!r.AtEnd()) {
+    // Present only when non-empty: a zero count would be a second encoding.
+    if (!(s = r.GetVarint(&n)).ok()) return s;
+    if (n == 0 || n > r.remaining() / crypto::kDigestSize) {
+      return Status::Corrupted("vo: bad list proof count");
+    }
+    out->list_proof.resize(n);
+    for (crypto::Digest& d : out->list_proof) {
+      if (!(s = crypto::GetDigest(r, &d)).ok()) return s;
+    }
   }
   if (!r.AtEnd()) return Status::Corrupted("vo: trailing bytes");
   return Status::Ok();

@@ -102,8 +102,9 @@ MerkleTree::MerkleTree(const std::vector<Bytes>& leaf_payloads,
   root_ = levels_.back()[0];
 }
 
-void MerkleTree::UpdateLeaf(size_t index, const Bytes& new_payload) {
+size_t MerkleTree::UpdateLeaf(size_t index, const Bytes& new_payload) {
   levels_[0][index] = HashLeaf(new_payload);
+  size_t hashed = 1;
   size_t idx = index;
   for (size_t k = 0; k + 1 < levels_.size(); ++k) {
     const std::vector<Digest>& cur = levels_[k];
@@ -111,12 +112,14 @@ void MerkleTree::UpdateLeaf(size_t index, const Bytes& new_payload) {
     Digest& dst = levels_[k + 1][parent];
     if (2 * parent + 1 < cur.size()) {
       dst = HashNode(cur[2 * parent], cur[2 * parent + 1]);
+      ++hashed;
     } else {
       dst = cur[2 * parent];  // carried-up odd node: no hash
     }
     idx = parent;
   }
   root_ = levels_.back()[0];
+  return hashed;
 }
 
 const Digest& MerkleTree::NodeDigest(size_t begin, size_t end) const {

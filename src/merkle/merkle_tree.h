@@ -57,8 +57,9 @@ class MerkleTree {
   // Replaces the payload of one leaf and recomputes only the digests on its
   // leaf-to-root path — O(log n) hashes versus an O(n) rebuild. The
   // resulting tree is byte-identical to reconstructing from scratch with the
-  // modified payload (locked in by the randomized property test).
-  void UpdateLeaf(size_t index, const Bytes& new_payload);
+  // modified payload (locked in by the randomized property test). Returns
+  // the number of digests recomputed.
+  size_t UpdateLeaf(size_t index, const Bytes& new_payload);
 
   // Proof that the leaves at `indices` (sorted, unique, in range) have the
   // claimed payloads: the digests of the maximal subtrees containing no

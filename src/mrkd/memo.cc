@@ -1,8 +1,6 @@
 #include "mrkd/memo.h"
 
-#include "crypto/hasher.h"
 #include "mrkd/mrkd_tree.h"
-#include "mrkd/search.h"
 
 namespace imageproof::mrkd {
 
@@ -55,17 +53,8 @@ const Bytes& LeafProofMemo::Get(const MrkdTree& tree, int node_index) const {
     return *b;
   }
   stats_.builds.fetch_add(1, std::memory_order_relaxed);
-  // Byte-identical to the inline emission in search.cc SearchRec.
-  const ann::RkdTree& t = tree.tree();
-  const ann::RkdNode& node = t.nodes()[node_index];
   ByteWriter w;
-  w.PutU8(kTokenLeaf);
-  w.PutVarint(static_cast<uint64_t>(node.end - node.begin));
-  for (int32_t i = node.begin; i < node.end; ++i) {
-    ClusterId c = static_cast<ClusterId>(t.point_indices()[i]);
-    w.PutVarint(c);
-    crypto::PutDigest(w, tree.list_digest(c));
-  }
+  tree.PutLeafToken(w, node_index);
   return Publish(slot, new Bytes(w.Take()));
 }
 

@@ -9,11 +9,10 @@
 //                   the first reveal of a cluster builds it once and every
 //                   later reveal — same query or a concurrent one — runs
 //                   only the O(revealed * log n) ProveSubset lookups.
-//   LeafProofMemo — the serialized kTokenLeaf byte run (varint count, then
-//                   per entry varint cluster + 32 B list digest) of each
-//                   MRKD leaf node. Distinct queries reaching the same
-//                   leaf then memcpy the token bytes instead of re-walking
-//                   the entries.
+//   LeafProofMemo — the serialized kTokenLeaf byte run of each MRKD leaf
+//                   node (MrkdTree::PutLeafToken). Distinct queries
+//                   reaching the same leaf then memcpy the token bytes
+//                   instead of re-walking the entries.
 //
 // Concurrency model: one memo set is owned by one immutable engine
 // snapshot (core::Snapshot) and dropped with it, so entries can never go

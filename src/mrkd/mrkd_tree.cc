@@ -4,13 +4,21 @@
 
 #include "common/parallel.h"
 #include "crypto/hasher.h"
+#include "mrkd/search.h"
 
 namespace imageproof::mrkd {
 
 MrkdTree::MrkdTree(const ann::RkdTree* tree, RevealMode mode,
-                   const std::vector<Digest>& list_digests)
-    : tree_(tree), mode_(mode), list_digests_(&list_digests) {
-  ClusterCommitments(mode_, tree_->points(), &cluster_commitments_);
+                   const std::vector<Digest>* list_digests,
+                   const std::vector<Digest>* commitments)
+    : tree_(tree),
+      mode_(mode),
+      list_digests_(list_digests),
+      commitments_(commitments) {
+  if (commitments_ == nullptr) {
+    ClusterCommitments(mode_, tree_->points(), &own_commitments_);
+    commitments_ = &own_commitments_;
+  }
   node_digests_.resize(tree_->nodes().size());
   BuildNodeDigests();
   BuildParentsAndLeafMap();
@@ -39,8 +47,8 @@ Digest MrkdTree::RecomputeLocalDigest(int node) {
   if (n.IsLeaf()) {
     for (int32_t i = n.begin; i < n.end; ++i) {
       ClusterId c = static_cast<ClusterId>(tree_->point_indices()[i]);
-      b.AddDigest(cluster_commitments_[c]);
-      b.AddDigest((*list_digests_)[c]);
+      b.AddDigest((*commitments_)[c]);
+      if (binds_lists()) b.AddDigest((*list_digests_)[c]);
     }
   } else {
     HashInternal(b, static_cast<uint32_t>(n.split_dim), n.split_value,
@@ -50,7 +58,7 @@ Digest MrkdTree::RecomputeLocalDigest(int node) {
 }
 
 size_t MrkdTree::RefreshListDigest(ClusterId c) {
-  if (c >= leaf_of_.size() || leaf_of_[c] < 0) return 0;
+  if (!binds_lists() || c >= leaf_of_.size() || leaf_of_[c] < 0) return 0;
   size_t rehashed = 0;
   for (int32_t node = leaf_of_[c]; node >= 0; node = parents_[node]) {
     node_digests_[node] = RecomputeLocalDigest(node);
@@ -74,6 +82,17 @@ void MrkdTree::HashInternal(crypto::DigestBuilder& b, uint32_t split_dim,
   uint8_t preimage[kInternalPreimageSize];
   PutInternal(preimage, split_dim, split_value, left, right);
   b.AddBytes(preimage, sizeof(preimage));
+}
+
+void MrkdTree::PutLeafToken(ByteWriter& w, int node) const {
+  const ann::RkdNode& n = tree_->nodes()[node];
+  w.PutU8(kTokenLeaf);
+  w.PutVarint(static_cast<uint64_t>(n.end - n.begin));
+  for (int32_t i = n.begin; i < n.end; ++i) {
+    ClusterId c = static_cast<ClusterId>(tree_->point_indices()[i]);
+    w.PutVarint(c);
+    if (binds_lists()) crypto::PutDigest(w, (*list_digests_)[c]);
+  }
 }
 
 void MrkdTree::BuildNodeDigests() {
@@ -120,8 +139,8 @@ void MrkdTree::BuildNodeDigests() {
         if (n.IsLeaf()) {
           for (int32_t j = n.begin; j < n.end; ++j) {
             ClusterId c = static_cast<ClusterId>(tree_->point_indices()[j]);
-            crypto::PutDigest(w, cluster_commitments_[c]);
-            crypto::PutDigest(w, (*list_digests_)[c]);
+            crypto::PutDigest(w, (*commitments_)[c]);
+            if (binds_lists()) crypto::PutDigest(w, (*list_digests_)[c]);
           }
         } else {
           uint8_t preimage[kInternalPreimageSize];

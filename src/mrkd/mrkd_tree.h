@@ -8,6 +8,12 @@
 // cluster's Merkle inverted list — which is how the MRKD-tree is linked to
 // the second ADS.
 //
+// A codebook-only tree (no list digests) drops the h_Gi terms:
+//   leaf node      h_N = h(ccommit_1 | ccommit_2 | ... )
+// Sharded deployments (shard/planner.h) use it: every shard shares one
+// codebook forest, so its root cannot also bind any one shard's lists —
+// those hang off a separate per-shard list tree (core/owner.h).
+//
 // Thread safety: every const accessor is safe to call concurrently; the
 // search code (mrkd/search.h) reads only through them. The single mutator
 // is RefreshListDigest (plus the shared `list_digests` vector it reads,
@@ -31,17 +37,26 @@ namespace imageproof::mrkd {
 class MrkdTree {
  public:
   // `tree` is borrowed and must outlive the MrkdTree. `list_digests[c]` is
-  // the digest h_{Gamma_c} of cluster c's Merkle inverted list.
+  // the digest h_{Gamma_c} of cluster c's Merkle inverted list; null builds
+  // a codebook-only tree whose leaves bind cluster commitments alone.
+  // `commitments[c]` is cluster c's commitment (mrkd::ClusterCommitments
+  // over the tree's points), shared by every tree of a forest; null
+  // computes them here. Both vectors are borrowed.
   MrkdTree(const ann::RkdTree* tree, RevealMode mode,
-           const std::vector<Digest>& list_digests);
+           const std::vector<Digest>* list_digests,
+           const std::vector<Digest>* commitments);
+  MrkdTree(const ann::RkdTree* tree, RevealMode mode,
+           const std::vector<Digest>& list_digests)
+      : MrkdTree(tree, mode, &list_digests, nullptr) {}
 
   const ann::RkdTree& tree() const { return *tree_; }
   RevealMode mode() const { return mode_; }
   const Digest& root_digest() const { return node_digests_[tree_->root()]; }
   const Digest& node_digest(int node) const { return node_digests_[node]; }
+  bool binds_lists() const { return list_digests_ != nullptr; }
   const Digest& list_digest(ClusterId c) const { return (*list_digests_)[c]; }
   const Digest& cluster_commitment(ClusterId c) const {
-    return cluster_commitments_[c];
+    return (*commitments_)[c];
   }
 
   // Digest contribution of a splitting hyperplane (shared with the client's
@@ -55,10 +70,16 @@ class MrkdTree {
                            float split_value, const Digest& left,
                            const Digest& right);
 
+  // The kTokenLeaf run of leaf `node` (mrkd/search.h): varint count, then
+  // per entry varint cluster id and, when the tree binds lists, the list
+  // digest.
+  void PutLeafToken(ByteWriter& w, int node) const;
+
   // Incremental refresh after cluster c's inverted-list digest changed in
   // the shared list-digest vector: recomputes the digest of c's leaf and of
   // every ancestor up to the root — O(log n_C) hashes instead of a full
-  // rebuild. Returns the number of nodes rehashed.
+  // rebuild. Returns the number of nodes rehashed (0 for a codebook-only
+  // tree, which binds no list digest).
   size_t RefreshListDigest(ClusterId c);
 
  private:
@@ -71,7 +92,8 @@ class MrkdTree {
   const ann::RkdTree* tree_;
   RevealMode mode_;
   const std::vector<Digest>* list_digests_;
-  std::vector<Digest> cluster_commitments_;
+  std::vector<Digest> own_commitments_;  // when none were passed in
+  const std::vector<Digest>* commitments_;
   std::vector<Digest> node_digests_;
   std::vector<int32_t> parents_;       // parent node index, -1 for the root
   std::vector<int32_t> leaf_of_;       // cluster -> leaf node index

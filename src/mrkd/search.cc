@@ -49,18 +49,11 @@ void SearchRec(SearchContext& ctx, int node_index, size_t depth,
       // Byte-identical token run, serialized once per (snapshot, node) and
       // shared across every concurrent search (mrkd/memo.h).
       ctx.writer->PutBytes(ctx.leaf_memo->Get(*ctx.mrkd, node_index));
-      for (int32_t i = node.begin; i < node.end; ++i) {
-        ClusterId c = static_cast<ClusterId>(tree.point_indices()[i]);
-        for (uint32_t q : active) ctx.out->candidates[q].push_back(c);
-      }
-      return;
+    } else {
+      ctx.mrkd->PutLeafToken(*ctx.writer, node_index);
     }
-    ctx.writer->PutU8(kTokenLeaf);
-    ctx.writer->PutVarint(static_cast<uint64_t>(node.end - node.begin));
     for (int32_t i = node.begin; i < node.end; ++i) {
       ClusterId c = static_cast<ClusterId>(tree.point_indices()[i]);
-      ctx.writer->PutVarint(c);
-      crypto::PutDigest(*ctx.writer, ctx.mrkd->list_digest(c));
       for (uint32_t q : active) ctx.out->candidates[q].push_back(c);
     }
     return;

@@ -11,7 +11,8 @@
 // The VO is a preorder token stream:
 //   kPruned   digest(32B)
 //   kLeaf     varint count, then per entry: varint cluster_id, digest(32B)
-//             of the cluster's Merkle inverted list
+//             of the cluster's Merkle inverted list (omitted by a
+//             codebook-only tree, mrkd/mrkd_tree.h)
 //   kInternal varint split_dim, f32 split_value, then left and right
 //             token streams
 //

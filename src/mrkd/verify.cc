@@ -68,8 +68,10 @@ class TreeParser {
  public:
   TreeParser(size_t dims, const CommitmentTable& table,
              const std::vector<const float*>& queries,
-             const std::vector<double>& thresholds_sq, ForestVerifyOutput* out)
+             const std::vector<double>& thresholds_sq, bool binds_lists,
+             ForestVerifyOutput* out)
       : dims_(dims),
+        binds_lists_(binds_lists),
         table_(table),
         queries_(queries),
         thresholds_sq_(thresholds_sq),
@@ -174,19 +176,21 @@ class TreeParser {
           return Status::Error(
               "mrkd: leaf cluster missing from reveal section");
         }
-        Digest list_digest;
-        if (!(s = crypto::GetDigest(r, &list_digest)).ok()) return s;
         const Digest& commitment = table_.commitment(entry);
         leaf_preimages_.insert(leaf_preimages_.end(), commitment.bytes.begin(),
                                commitment.bytes.end());
-        leaf_preimages_.insert(leaf_preimages_.end(),
-                               list_digest.bytes.begin(),
-                               list_digest.bytes.end());
-        std::optional<Digest>& bound = out_->list_digests[entry];
-        if (bound.has_value() && *bound != list_digest) {
-          return Status::Error("mrkd: conflicting inverted-list digests");
+        if (binds_lists_) {
+          Digest list_digest;
+          if (!(s = crypto::GetDigest(r, &list_digest)).ok()) return s;
+          leaf_preimages_.insert(leaf_preimages_.end(),
+                                 list_digest.bytes.begin(),
+                                 list_digest.bytes.end());
+          std::optional<Digest>& bound = out_->list_digests[entry];
+          if (bound.has_value() && *bound != list_digest) {
+            return Status::Error("mrkd: conflicting inverted-list digests");
+          }
+          bound = list_digest;
         }
-        bound = list_digest;
         for (size_t k = begin; k < end; ++k) {
           out_->candidate[active_[k].q * num_entries + entry] = 1;
         }
@@ -230,13 +234,14 @@ class TreeParser {
   }
 
   const size_t dims_;
+  const bool binds_lists_;
   const CommitmentTable& table_;
   const std::vector<const float*>& queries_;
   const std::vector<double>& thresholds_sq_;
   std::vector<double> offsets_;  // [query * dims + dim]
   std::vector<ActiveQuery> active_;
   std::vector<ReplayNode> nodes_;  // post-order, across the tree's streams
-  Bytes leaf_preimages_;           // commitment | list digest, per leaf entry
+  Bytes leaf_preimages_;  // commitment [| list digest], per leaf entry
   ByteReader* reader_ = nullptr;
   ForestVerifyOutput* out_;
 };
@@ -303,7 +308,7 @@ Status VerifyForestVo(const std::vector<Bytes>& tree_vos, size_t dims,
                       const CommitmentTable& commitments,
                       const std::vector<const float*>& queries,
                       const std::vector<double>& thresholds_sq, bool shared,
-                      ForestVerifyOutput* out) {
+                      ForestVerifyOutput* out, bool leaves_bind_lists) {
   const size_t nq = queries.size();
   out->roots.assign(tree_vos.size(), Digest::Zero());
   out->candidate.assign(nq * commitments.size(), 0);
@@ -312,7 +317,8 @@ Status VerifyForestVo(const std::vector<Bytes>& tree_vos, size_t dims,
   // One tree at a time, so the node buffers stay the size of one tree's
   // VO. Shared layout: one stream per tree with every query active.
   // Baseline layout: one stream per query per tree.
-  TreeParser parser(dims, commitments, queries, thresholds_sq, out);
+  TreeParser parser(dims, commitments, queries, thresholds_sq,
+                    leaves_bind_lists, out);
   LevelHasher hasher;
   const size_t streams = shared ? 1 : nq;
   std::vector<uint32_t> stream_roots(streams);

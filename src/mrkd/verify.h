@@ -60,7 +60,7 @@ struct ForestVerifyOutput {
   // Per table entry: the inverted-list digest the leaves bind to its
   // cluster, if the cluster appears in any revealed leaf. Leaves that bind
   // one cluster to different digests are rejected. Later cross-checked
-  // against the inverted-index VO.
+  // against the inverted-index VO. All empty for codebook-only trees.
   std::vector<std::optional<Digest>> list_digests;
 };
 
@@ -71,11 +71,13 @@ struct ForestVerifyOutput {
 //   `shared`        false replays one independent stream per query per tree
 //                   (the Baseline layout); every stream of a tree must
 //                   reconstruct the same root.
+//   `leaves_bind_lists` false replays codebook-only trees (leaf entries
+//                   carry no list digest; mrkd/mrkd_tree.h).
 Status VerifyForestVo(const std::vector<Bytes>& tree_vos, size_t dims,
                       const CommitmentTable& commitments,
                       const std::vector<const float*>& queries,
                       const std::vector<double>& thresholds_sq, bool shared,
-                      ForestVerifyOutput* out);
+                      ForestVerifyOutput* out, bool leaves_bind_lists = true);
 
 }  // namespace imageproof::mrkd
 

@@ -62,8 +62,9 @@ class NetClient {
       const std::vector<std::vector<float>>& features, size_t k,
       uint32_t deadline_ms = 0);
 
-  // Composite (sharded) query: sends a version-2 query frame with
-  // kFrameFlagComposite and returns the server's opaque composite-VO bytes,
+  // Composite (sharded) query: sends a kWireVersionComposite query frame
+  // with kFrameFlagComposite and returns the server's opaque composite-VO
+  // bytes,
   // unverified — callers hand them to shard::CompositeClient, which is the
   // only component that can (and must) verify them.
   Result<Bytes> QueryComposite(const std::vector<std::vector<float>>& features,

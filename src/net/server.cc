@@ -408,9 +408,9 @@ void NetServer::HandleQuery(Conn* conn, const FrameHeader& header,
     return;
   }
   if ((header.flags & kFrameFlagComposite) != 0) {
-    // Sharded scatter-gather path (wire version 2). The handler fans out on
-    // its own executor; its completion hands the opaque composite bytes to
-    // the poll thread through the same outbox as engine completions, so
+    // Sharded scatter-gather path (kWireVersionComposite). The handler fans
+    // out on its own executor; its completion hands the opaque composite
+    // bytes to the poll thread through the same outbox as engine completions, so
     // drain accounting and connection lifetime work identically.
     if (!composite_handler_) {
       SendError(conn, WireError::kBadRequest,

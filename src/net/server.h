@@ -79,8 +79,8 @@ class NetServer {
   // must outlive Stop()). Call before Start().
   void EnableUpdates(const crypto::RsaPrivateKey* owner_key);
 
-  // Asynchronous producer of composite (sharded) responses for version-2
-  // queries carrying kFrameFlagComposite — typically
+  // Asynchronous producer of composite (sharded) responses for queries
+  // carrying kFrameFlagComposite (kWireVersionComposite) — typically
   // shard::Coordinator::QueryAsync. The handler MUST NOT block the calling
   // thread (it runs on the poll thread): hand the work to its own executor
   // and invoke `done` exactly once from any thread with the serialized

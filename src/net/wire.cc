@@ -121,7 +121,8 @@ Status DecodeFrameHeader(const uint8_t* data, size_t size, FrameHeader* out) {
   }
   if (!(s = r.GetU8(&flags)).ok()) return s;
   // Flags are gated by type AND version: only a query may carry the
-  // VO-compression opt-in, only a version-2 query the composite request.
+  // VO-compression opt-in, only a query of version kWireVersionComposite or
+  // later the composite request.
   // Every other bit stays reserved and rejected, so future capabilities
   // fail loudly instead of being silently ignored.
   uint8_t allowed = 0;

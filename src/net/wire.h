@@ -61,20 +61,25 @@ namespace imageproof::net {
 
 inline constexpr uint32_t kWireMagic = 0x49504E31;  // "1NPI" on the wire
 inline constexpr uint16_t kWireVersion = 1;
-// Protocol version 2 adds sharded scatter-gather serving: a kQuery frame may
-// carry kFrameFlagComposite ("answer with a composite VO merged across
+// The composite version adds sharded scatter-gather serving: a kQuery frame
+// may carry kFrameFlagComposite ("answer with a composite VO merged across
 // shards"), answered by a kCompositeResponse frame. Version-1 peers never
-// see either — clients only emit version-2 headers on composite queries,
-// and servers reply in the version of the request — so the capability is
-// gated by the frame's own version field, not silently by flags.
-inline constexpr uint16_t kWireVersionComposite = 2;
+// see either — clients only emit composite-version headers on composite
+// queries, and servers reply in the version of the request — so the
+// capability is gated by the frame's own version field, not silently by
+// flags. Version 2 introduced it; version 3 changed the composite VO
+// payload (shard/composite.h) to one shared BoVW section instead of one
+// per shard, and version-2 composite frames are now refused at the header
+// rather than answered in a format their sender cannot decode.
+inline constexpr uint16_t kWireVersionComposite = 3;
 inline constexpr uint16_t kMaxWireVersion = kWireVersionComposite;
 inline constexpr size_t kFrameHeaderBytes = 12;
 // Header flag on kQuery frames: the client opts in to group-varint VO
 // compression (invindex/vo_compress.h). Valid on no other frame type.
 inline constexpr uint8_t kFrameFlagCompressVo = 0x01;
-// Header flag on version-2 kQuery frames: request a composite (sharded)
-// response. Rejected on version-1 frames and on every other frame type.
+// Header flag on composite-version kQuery frames: request a composite
+// (sharded) response. Rejected on older frames and on every other frame
+// type.
 inline constexpr uint8_t kFrameFlagComposite = 0x02;
 // Response frames carry the VO plus result image payloads; 64 MiB bounds a
 // hostile length prefix without constraining any realistic deployment.
@@ -92,7 +97,7 @@ enum class FrameType : uint8_t {
   kInsert = 6,
   kDelete = 7,
   kUpdateAck = 8,
-  // Version-2 only: answer to a composite kQuery. Payload is an opaque
+  // Composite version only: answer to a composite kQuery. Payload is an opaque
   // shard::CompositeVO byte string (self-describing, hardened parser on the
   // client side) — the wire layer does not interpret it, which keeps ip_net
   // free of a dependency on ip_shard.
@@ -132,7 +137,7 @@ struct FrameHeader {
 // Frame assembly. AppendFrame is the streaming form (write buffers);
 // EncodeFrame the convenience form. `flags` must follow the per-type rules
 // above (only kQuery may carry kFrameFlagCompressVo, and
-// kFrameFlagComposite additionally requires `version` >= 2).
+// kFrameFlagComposite additionally requires kWireVersionComposite).
 void AppendFrame(FrameType type, const Bytes& payload, Bytes* out,
                  uint8_t flags = 0, uint16_t version = kWireVersion);
 Bytes EncodeFrame(FrameType type, const Bytes& payload, uint8_t flags = 0,

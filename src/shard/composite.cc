@@ -1,5 +1,6 @@
 #include "shard/composite.h"
 
+#include "net/wire.h"
 #include "shard/manifest.h"
 
 namespace imageproof::shard {
@@ -11,7 +12,9 @@ constexpr uint32_t kCompositeMagic = 0x4950434F;  // "OCPI" on the wire
 Bytes CompositeVO::Serialize() const {
   ByteWriter w;
   w.PutU32(kCompositeMagic);
+  w.PutU32(net::kWireVersionComposite);
   w.PutBlob(manifest_bytes);
+  bovw.Serialize(w);
   w.PutU32(static_cast<uint32_t>(entries.size()));
   for (const CompositeEntry& e : entries) {
     w.PutU32(e.shard_id);
@@ -30,7 +33,16 @@ Status CompositeVO::Deserialize(const Bytes& data, CompositeVO* out) {
   if (magic != kCompositeMagic) {
     return Status::Corrupted("composite vo: bad magic");
   }
+  // A version-2 composite continues with its manifest's length prefix and
+  // the manifest's own magic, which never read as a small version number.
+  uint32_t version = 0;
+  if (!(s = r.GetU32(&version)).ok()) return s;
+  if (version != net::kWireVersionComposite) {
+    return Status::Corrupted("composite vo: unsupported version " +
+                             std::to_string(version));
+  }
   if (!(s = r.GetBlob(&out->manifest_bytes)).ok()) return s;
+  if (!(s = core::BovwSection::Deserialize(r, &out->bovw)).ok()) return s;
   uint32_t count = 0;
   if (!(s = r.GetU32(&count)).ok()) return s;
   if (count == 0) return Status::Corrupted("composite vo: zero entries");

@@ -1,18 +1,22 @@
 // Composite VO: the verifiable object of a sharded scatter-gather query.
 //
-// The coordinator fans a query across N shards, each of which answers with
-// an ordinary ImageProof QueryVO proving its LOCAL top-k under its own
-// signed root. The composite VO bundles those per-shard proofs with the
-// owner-signed shard manifest that binds shard id -> root digest set, so a
-// client can re-verify the whole scatter-gather:
+// Every shard of a ShardPlanner deployment shares one codebook MRKD forest
+// and signs a split root H(codebook root, its list root) (core/owner.h).
+// The BoVW encoding of a query is therefore the same proof on every shard,
+// and the composite VO carries it once:
 //
 //   * the manifest travels in-band (`manifest_bytes`). It is owner-signed,
 //     so delivery through the untrusted SP/coordinator is safe — a swapped
-//     or doctored manifest fails its signature check;
+//     or doctored manifest fails its signature check. It commits the
+//     codebook root the BoVW section must replay to;
+//   * one BoVW section (thresholds, candidate reveals, codebook-only tree
+//     VOs), proven by one shard and shared by every entry;
 //   * one entry per shard, in shard-id order, no shard missing (entry i
 //     must claim shard_id == i, and the entry count must equal the
 //     manifest's num_shards) — so a coordinator cannot silently drop the
-//     shard holding a better result;
+//     shard holding a better result. Each entry is an inverted-only
+//     core::QueryVO (inverted VO prefixed by the list-tree multiproof, plus
+//     the results), scored on the vector the BoVW section proves;
 //   * each entry carries the root signature its VO replays to, checked by
 //     the verifier against the manifest's {current, prev} digest set for
 //     that slot — so a (valid!) VO from shard 1 cannot be spliced into
@@ -22,6 +26,13 @@
 // The merge itself is not carried: it is recomputed by the verifier from
 // the per-shard verified results (shard/composite_client.h), which is what
 // makes it provable rather than claimed.
+//
+// Wire format (version net::kWireVersionComposite; the per-shard-proof
+// format of version 2 has no decoder any more and fails as kCorrupted):
+//
+//   u32 magic | u32 version | blob manifest | BoVW section
+//   (core::BovwSection::Serialize) | u32 entry count | per entry: u32
+//   shard_id | u64 snapshot_version | blob root_signature | blob vo_bytes
 
 #ifndef IMAGEPROOF_SHARD_COMPOSITE_H_
 #define IMAGEPROOF_SHARD_COMPOSITE_H_
@@ -30,12 +41,13 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "core/vo.h"
 
 namespace imageproof::shard {
 
 // One shard's contribution: which slot it answers, the snapshot it served
 // from, the owner signature over that snapshot's root digest, and the
-// serialized core::QueryVO proving its local top-k.
+// serialized inverted-only core::QueryVO proving its local top-k.
 struct CompositeEntry {
   uint32_t shard_id = 0;
   uint64_t snapshot_version = 0;
@@ -45,12 +57,14 @@ struct CompositeEntry {
 
 struct CompositeVO {
   Bytes manifest_bytes;  // serialized signed ShardManifest
+  core::BovwSection bovw;  // the query's BoVW proof, shared by every entry
   std::vector<CompositeEntry> entries;  // shard-id order, one per shard
 
   Bytes Serialize() const;
-  // Hardened: entry-count cap (kMaxShards) plus a bytes-present bound, blob
-  // caps, strict ordering NOT enforced here (the verifier rejects it with a
-  // precise message); every decode failure is kCorrupted.
+  // Hardened: version check, entry-count cap (kMaxShards) plus a
+  // bytes-present bound, blob caps, strict ordering NOT enforced here (the
+  // verifier rejects it with a precise message); every decode failure is
+  // kCorrupted.
   static Status Deserialize(const Bytes& data, CompositeVO* out);
 };
 

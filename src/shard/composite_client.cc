@@ -56,7 +56,23 @@ Result<CompositeVerifiedResults> CompositeClient::VerifyComposite(
   out.num_shards = manifest.num_shards;
   out.per_shard.reserve(manifest.num_shards);
 
-  // 3-5. Per-shard verification, pinned to the manifest.
+  // 3. The BoVW encoding, proven once for every shard.
+  const core::Client bovw_verifier(params_);
+  Result<core::VerifiedBovw> bovw =
+      bovw_verifier.VerifyBovwSection(features, vo.bovw);
+  if (!bovw.ok()) {
+    const Status& s = bovw.status();
+    return Status::WithCode(s.code(),
+                            "composite verify: BoVW section: " + s.message());
+  }
+  if (bovw->forest_root != manifest.codebook_root) {
+    return Status::Error(
+        "composite verify: BoVW section does not replay to the manifest's "
+        "codebook root");
+  }
+
+  // 4-6. Per-shard verification against that vector, pinned to the
+  // manifest.
   for (uint32_t sid = 0; sid < manifest.num_shards; ++sid) {
     const CompositeEntry& entry = vo.entries[sid];
     core::QueryVO shard_vo;
@@ -67,7 +83,7 @@ Result<CompositeVerifiedResults> CompositeClient::VerifyComposite(
     core::PublicParams shard_params = params_;
     shard_params.root_signature = entry.root_signature;
     core::Client verifier(std::move(shard_params));
-    auto verified = verifier.Verify(features, k, shard_vo);
+    auto verified = verifier.VerifyEntry(*bovw, k, shard_vo);
     if (!verified.ok()) {
       const Status& s = verified.status();
       return Status::WithCode(s.code(), "composite verify: shard " +
@@ -92,7 +108,7 @@ Result<CompositeVerifiedResults> CompositeClient::VerifyComposite(
     out.per_shard.push_back(std::move(vr));
   }
 
-  // 6. The merge, recomputed from verified exact scores. Completeness: a
+  // 7. The merge, recomputed from verified exact scores. Completeness: a
   // global top-k member is in its shard's local top-k (same k), and every
   // shard's local top-k was just proven; the partition check above rules
   // out one image appearing under two shards.

@@ -5,24 +5,30 @@
 // owner public key the client already holds:
 //
 //   1. manifest authenticity — the in-band manifest carries a valid owner
-//      signature, so its partition rule and per-shard root digest sets are
-//      the owner's statement, not the coordinator's;
+//      signature, so its partition rule, codebook root and per-shard root
+//      digest sets are the owner's statement, not the coordinator's;
 //   2. coverage — exactly num_shards entries, entry i claiming shard i: no
 //      shard dropped (the dropped shard might hold a better result), none
 //      duplicated, none reordered;
-//   3. per-shard soundness — each entry's QueryVO verifies under the core
-//      client against the entry's root signature, and the root digest that
-//      verification REPLAYED is in the manifest's {current, prev} set for
-//      that slot: a VO from another shard (signed by the same owner!)
-//      replays to a root the slot does not allow, and a stale epoch beyond
-//      the one-epoch freshness window is likewise rejected;
-//   4. exactness — every per-shard verified score is provably exact
+//   3. the BoVW encoding, once — the shared BoVW section replays (reveals,
+//      codebook-only MRKD trees, nearest-cluster checks) to the manifest's
+//      codebook root, which yields the query's BoVW vector B_Q;
+//   4. per-shard soundness — each entry's inverted-only QueryVO verifies
+//      under the core client against B_Q and the entry's root signature:
+//      its list digests, through the list-tree multiproof, rebuild a list
+//      root, and the split root H(codebook root, list root) must carry the
+//      entry's signature AND be in the manifest's {current, prev} set for
+//      that slot. A VO from another shard (signed by the same owner!)
+//      rebuilds a root the slot does not allow, a stale epoch beyond the
+//      one-epoch freshness window is likewise rejected, and a shard that
+//      scored any vector other than B_Q fails its inverted check;
+//   5. exactness — every per-shard verified score is provably exact
 //      (VerifiedResults::topk_scores_exact), not a lower bound; without
 //      this a shard could deflate a score to eject an image from the
 //      global merge;
-//   5. placement — every result id satisfies id mod num_shards == shard id,
+//   6. placement — every result id satisfies id mod num_shards == shard id,
 //      so an image cannot be answered (or suppressed) by the wrong shard;
-//   6. the merge itself — recomputed here, never trusted: the global top-k
+//   7. the merge itself — recomputed here, never trusted: the global top-k
 //      of the union is the (score desc, id asc)-sorted merge of the local
 //      top-k's, which is complete because any global top-k member is by
 //      definition in its own shard's local top-k.

@@ -21,14 +21,61 @@ LocalShardBackend::LocalShardBackend(
     : owner_key_(std::move(owner_key)),
       engine_(std::move(package), std::move(params), std::move(options)) {}
 
+Result<ShardBovwProof> LocalShardBackend::Encode(
+    const std::vector<std::vector<float>>& features, uint32_t deadline_ms,
+    bool with_proof) {
+  // Outside the engine's queue: the encoding needs no inverted-list state,
+  // only the snapshot's codebook forest and proof memo.
+  std::shared_ptr<const core::Snapshot> snap = engine_.CurrentSnapshot();
+  core::QueryControl control =
+      deadline_ms == 0
+          ? core::QueryControl()
+          : core::QueryControl(core::QueryControl::Clock::now() +
+                               std::chrono::milliseconds(deadline_ms));
+  core::ServeOptions serve;
+  serve.memo = snap->memo.get();
+  core::QueryResponse resp;
+  Status s = core::ServiceProvider(snap->package.get())
+                 .EncodeBovw(features, {}, control, serve, with_proof, &resp);
+  if (!s.ok()) return s;
+  ShardBovwProof out;
+  out.section = resp.vo.TakeBovwSection();
+  out.bovw = std::move(resp.query_bovw);
+  return out;
+}
+
 Result<ShardQueryResult> LocalShardBackend::Query(
     const std::vector<std::vector<float>>& features, size_t k,
     bool compress_vo, uint32_t deadline_ms) {
+  Result<ShardBovwProof> own = Encode(features, deadline_ms, false);
+  if (!own.ok()) return own.status();
+  return Serve(own->bovw, k, compress_vo, deadline_ms);
+}
+
+Result<ShardBovwProof> LocalShardBackend::ProveBovw(
+    const std::vector<std::vector<float>>& features, size_t, bool,
+    uint32_t deadline_ms) {
+  return Encode(features, deadline_ms, true);
+}
+
+Result<ShardQueryResult> LocalShardBackend::QueryProven(
+    const std::vector<std::vector<float>>& features,
+    const bovw::BovwVector& proven, size_t k, bool compress_vo,
+    uint32_t deadline_ms) {
+  // An empty vector is a prover that could not report one (remote).
+  if (proven.empty()) return Query(features, k, compress_vo, deadline_ms);
+  return Serve(proven, k, compress_vo, deadline_ms);
+}
+
+Result<ShardQueryResult> LocalShardBackend::Serve(const bovw::BovwVector& bovw,
+                                                  size_t k, bool compress_vo,
+                                                  uint32_t deadline_ms) {
   core::SubmitOptions opts;
   opts.deadline = std::chrono::milliseconds(deadline_ms);
   opts.compress_vo = compress_vo;
   opts.settle_exact_topk = true;
-  core::EngineResponse r = engine_.Submit(features, k, opts).get();
+  opts.proven_bovw = std::make_shared<const bovw::BovwVector>(bovw);
+  core::EngineResponse r = engine_.Submit({}, k, std::move(opts)).get();
   if (!r.ok()) return r.status;
   ShardQueryResult out;
   out.snapshot_version = r.snapshot->version;
@@ -72,19 +119,40 @@ RemoteShardBackend::RemoteShardBackend(std::string host, uint16_t port,
                                        net::RetryPolicy policy)
     : client_(std::move(host), port, std::move(trusted_params), policy) {}
 
+Result<ShardBovwProof> RemoteShardBackend::ProveBovw(
+    const std::vector<std::vector<float>>& features, size_t k,
+    bool compress_vo, uint32_t deadline_ms) {
+  Result<net::ResponseFrame> resp = [&] {
+    std::lock_guard<std::mutex> lock(mu_);
+    client_.set_compress_vo(compress_vo);
+    return client_.QueryForRelay(features, k, deadline_ms);
+  }();
+  if (!resp.ok()) return resp.status();
+  core::QueryVO vo;
+  if (Status s = core::QueryVO::Deserialize(resp->vo_bytes, &vo); !s.ok()) {
+    return s;
+  }
+  ShardBovwProof out;
+  out.section = vo.TakeBovwSection();
+  ShardQueryResult& entry = out.entry.emplace();
+  entry.snapshot_version = resp->snapshot_version;
+  entry.root_signature = std::move(resp->root_signature);
+  entry.vo_bytes = vo.Serialize();
+  return out;
+}
+
 Result<ShardQueryResult> RemoteShardBackend::Query(
     const std::vector<std::vector<float>>& features, size_t k,
     bool compress_vo, uint32_t deadline_ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  client_.set_compress_vo(compress_vo);
-  Result<net::ResponseFrame> resp =
-      client_.QueryForRelay(features, k, deadline_ms);
-  if (!resp.ok()) return resp.status();
-  ShardQueryResult out;
-  out.snapshot_version = resp->snapshot_version;
-  out.root_signature = std::move(resp->root_signature);
-  out.vo_bytes = std::move(resp->vo_bytes);
-  return out;
+  Result<ShardBovwProof> r = ProveBovw(features, k, compress_vo, deadline_ms);
+  if (!r.ok()) return r.status();
+  return std::move(*r->entry);
+}
+
+Result<ShardQueryResult> RemoteShardBackend::QueryProven(
+    const std::vector<std::vector<float>>& features, const bovw::BovwVector&,
+    size_t k, bool compress_vo, uint32_t deadline_ms) {
+  return Query(features, k, compress_vo, deadline_ms);
 }
 
 Result<ShardRootInfo> RemoteShardBackend::Insert(bovw::ImageId, bovw::BovwVector,
@@ -116,7 +184,15 @@ Coordinator::Coordinator(std::vector<std::unique_ptr<ShardBackend>> backends,
       manifest_(std::make_shared<const ShardManifest>(std::move(manifest))),
       fanout_pool_(options.fanout_threads != 0 ? options.fanout_threads
                                                : num_shards_),
-      serve_pool_(options.serve_threads) {}
+      serve_pool_(options.serve_threads) {
+  bool complete = num_shards_ != 0 && backends_.size() == num_shards_;
+  for (const auto& b : backends_) complete = complete && b != nullptr;
+  if (!complete) {
+    layout_status_ = Status::Error(
+        "coordinator: " + std::to_string(backends_.size()) +
+        " backends for a " + std::to_string(num_shards_) + "-shard manifest");
+  }
+}
 
 Coordinator::~Coordinator() {
   // Outer tasks block on fan-out futures; drain them first so no serve task
@@ -133,26 +209,53 @@ std::shared_ptr<const ShardManifest> Coordinator::CurrentManifest() const {
 Result<Bytes> Coordinator::Query(
     const std::vector<std::vector<float>>& features, size_t k,
     bool compress_vo, uint32_t deadline_ms) {
-  std::vector<std::future<Result<ShardQueryResult>>> futures;
-  futures.reserve(num_shards_);
+  if (!layout_status_.ok()) return layout_status_;
+  const auto fail = [this](uint32_t sid, const Status& s) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.fanout_failures;
+    return AnnotateShard(sid, s);
+  };
+
+  // One shard proves the BoVW encoding; the proven vector then fans out to
+  // every shard, with what is left of the deadline.
+  const auto start = std::chrono::steady_clock::now();
+  const uint32_t prover =
+      next_prover_.fetch_add(1, std::memory_order_relaxed) % num_shards_;
+  Result<ShardBovwProof> proof =
+      backends_[prover]->ProveBovw(features, k, compress_vo, deadline_ms);
+  if (!proof.ok()) return fail(prover, proof.status());
+  uint32_t rest_ms = 0;
+  if (deadline_ms != 0) {
+    const auto spent = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - start);
+    if (spent.count() >= deadline_ms) {
+      return fail(prover, Status::DeadlineExceeded(
+                              "coordinator: deadline spent proving BoVW"));
+    }
+    rest_ms = deadline_ms - static_cast<uint32_t>(spent.count());
+  }
+
+  std::vector<std::future<Result<ShardQueryResult>>> futures(num_shards_);
+  const bovw::BovwVector& vec = proof->bovw;
   for (uint32_t sid = 0; sid < num_shards_; ++sid) {
+    if (sid == prover && proof->entry.has_value()) continue;
     ShardBackend* backend = backends_[sid].get();
-    futures.push_back(
-        fanout_pool_.Submit([backend, &features, k, compress_vo, deadline_ms] {
-          return backend->Query(features, k, compress_vo, deadline_ms);
-        }));
+    futures[sid] = fanout_pool_.Submit(
+        [backend, &features, &vec, k, compress_vo, rest_ms] {
+          return backend->QueryProven(features, vec, k, compress_vo, rest_ms);
+        });
   }
   // Gather everything before acting on failures: every future must be
-  // drained regardless (the tasks borrow `features`).
+  // drained regardless (the tasks borrow `features` and the vector).
   std::vector<Result<ShardQueryResult>> replies;
   replies.reserve(num_shards_);
-  for (auto& f : futures) replies.push_back(f.get());
   for (uint32_t sid = 0; sid < num_shards_; ++sid) {
-    if (!replies[sid].ok()) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.fanout_failures;
-      return AnnotateShard(sid, replies[sid].status());
-    }
+    replies.push_back(futures[sid].valid()
+                          ? futures[sid].get()
+                          : Result<ShardQueryResult>(std::move(*proof->entry)));
+  }
+  for (uint32_t sid = 0; sid < num_shards_; ++sid) {
+    if (!replies[sid].ok()) return fail(sid, replies[sid].status());
   }
 
   // Pin the manifest AFTER the fan-out: a shard that epoch-swapped once
@@ -160,6 +263,7 @@ Result<Bytes> Coordinator::Query(
   std::shared_ptr<const ShardManifest> manifest = CurrentManifest();
   CompositeVO vo;
   vo.manifest_bytes = manifest->Serialize();
+  vo.bovw = std::move(proof->section);
   vo.entries.resize(num_shards_);
   for (uint32_t sid = 0; sid < num_shards_; ++sid) {
     ShardQueryResult& reply = *replies[sid];
@@ -224,25 +328,30 @@ Result<uint64_t> Coordinator::PublishRoot(uint32_t shard_id,
   return next->epoch;
 }
 
-Result<uint64_t> Coordinator::Insert(bovw::ImageId id, bovw::BovwVector bovw,
-                                     Bytes image_data) {
+Result<uint64_t> Coordinator::RouteUpdate(
+    bovw::ImageId id,
+    const std::function<Result<ShardRootInfo>(ShardBackend&)>& apply) {
+  if (!layout_status_.ok()) return layout_status_;
   std::lock_guard<std::mutex> lock(update_mu_);
   const uint32_t sid = ShardManifest::ShardOf(id, num_shards_);
-  auto info =
-      backends_[sid]->Insert(id, std::move(bovw), std::move(image_data));
+  Result<ShardRootInfo> info = apply(*backends_[sid]);
   if (!info.ok()) return AnnotateShard(sid, info.status());
   return PublishRoot(sid, *info);
+}
+
+Result<uint64_t> Coordinator::Insert(bovw::ImageId id, bovw::BovwVector bovw,
+                                     Bytes image_data) {
+  return RouteUpdate(id, [&](ShardBackend& b) {
+    return b.Insert(id, std::move(bovw), std::move(image_data));
+  });
 }
 
 Result<uint64_t> Coordinator::Delete(bovw::ImageId id) {
-  std::lock_guard<std::mutex> lock(update_mu_);
-  const uint32_t sid = ShardManifest::ShardOf(id, num_shards_);
-  auto info = backends_[sid]->Delete(id);
-  if (!info.ok()) return AnnotateShard(sid, info.status());
-  return PublishRoot(sid, *info);
+  return RouteUpdate(id, [id](ShardBackend& b) { return b.Delete(id); });
 }
 
 Status Coordinator::ProbeAll() {
+  if (!layout_status_.ok()) return layout_status_;
   for (uint32_t sid = 0; sid < num_shards_; ++sid) {
     if (Status s = backends_[sid]->Probe(); !s.ok()) {
       return AnnotateShard(sid, s);

@@ -1,13 +1,16 @@
 // Coordinator: parallel scatter-gather over N shard backends with an
 // authenticated merge.
 //
-// A query fans out to every shard on the coordinator's fan-out pool, each
-// shard answering a settled (exact-score) local top-k with an ordinary
-// QueryVO, and the replies are bundled into a composite VO
-// (shard/composite.h) together with the current signed manifest. The
-// coordinator never verifies and never merges — it is part of the
-// untrusted SP; the client's VerifyComposite (shard/composite_client.h)
-// recomputes the merge from per-shard proofs.
+// Every shard shares one codebook forest, so a query's BoVW encoding is
+// proven once: one prover shard (rotating across queries, to spread the
+// load) proves it on the calling thread, then the proven vector fans out
+// to every shard on the coordinator's fan-out pool, each answering a
+// settled (exact-score) local top-k with an inverted-only QueryVO for that
+// vector. The replies are bundled into a composite VO
+// (shard/composite.h) together with the one BoVW section and the current
+// signed manifest. The coordinator never verifies and never merges — it is
+// part of the untrusted SP; the client's VerifyComposite
+// (shard/composite_client.h) recomputes the merge from per-shard proofs.
 //
 // Manifest pinning vs. update races: the manifest to ship is chosen AFTER
 // every shard reply is in, and each reply's root signature is checked
@@ -36,9 +39,11 @@
 #ifndef IMAGEPROOF_SHARD_COORDINATOR_H_
 #define IMAGEPROOF_SHARD_COORDINATOR_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,12 +55,23 @@
 
 namespace imageproof::shard {
 
-// One shard's (unverified) answer: the serialized QueryVO, the root
-// signature it replays to, and the snapshot version it was served from.
+// One shard's (unverified) answer: its serialized inverted-only QueryVO
+// (the composite entry), the root signature it replays to, and the snapshot
+// version it was served from.
 struct ShardQueryResult {
   uint64_t snapshot_version = 0;
   Bytes root_signature;
   Bytes vo_bytes;
+};
+
+// A prover shard's answer: the query's BoVW section and the vector it
+// proves (empty when the backend cannot report it; the shards then encode
+// the query themselves), plus the prover's own entry when proving produced
+// one anyway (a remote shard's full serve).
+struct ShardBovwProof {
+  core::BovwSection section;
+  bovw::BovwVector bovw;
+  std::optional<ShardQueryResult> entry;
 };
 
 // The root a shard settled on after applying an update.
@@ -65,17 +81,33 @@ struct ShardRootInfo {
 };
 
 // One shard as the coordinator sees it. Implementations must be safe for
-// concurrent Query calls (the fan-out pool issues them in parallel);
-// updates are serialized by the coordinator.
+// concurrent query calls (the fan-out pool and the serve pool issue them
+// in parallel); updates are serialized by the coordinator.
 class ShardBackend {
  public:
   virtual ~ShardBackend() = default;
 
-  // A settled (exact-score) authenticated query against this shard.
-  // deadline_ms 0 = none.
+  // This shard's composite entry for a settled (exact-score) query whose
+  // BoVW encoding it computes itself, without proving it. deadline_ms 0 =
+  // none.
   virtual Result<ShardQueryResult> Query(
       const std::vector<std::vector<float>>& features, size_t k,
       bool compress_vo, uint32_t deadline_ms) = 0;
+
+  // Proves the query's BoVW encoding over the shared codebook forest. `k`
+  // and `compress_vo` shape the prover's own entry, for a backend whose
+  // proof comes with one.
+  virtual Result<ShardBovwProof> ProveBovw(
+      const std::vector<std::vector<float>>& features, size_t k,
+      bool compress_vo, uint32_t deadline_ms) = 0;
+
+  // This shard's entry for `proven`, the vector another shard proved for
+  // `features`. Byte-identical to Query(features, ...) — the shards share
+  // the forest — but skips the BoVW step where the backend can.
+  virtual Result<ShardQueryResult> QueryProven(
+      const std::vector<std::vector<float>>& features,
+      const bovw::BovwVector& proven, size_t k, bool compress_vo,
+      uint32_t deadline_ms) = 0;
 
   // Owner updates; the returned root info feeds the manifest re-sign.
   virtual Result<ShardRootInfo> Insert(bovw::ImageId id,
@@ -100,6 +132,13 @@ class LocalShardBackend : public ShardBackend {
   Result<ShardQueryResult> Query(
       const std::vector<std::vector<float>>& features, size_t k,
       bool compress_vo, uint32_t deadline_ms) override;
+  Result<ShardBovwProof> ProveBovw(
+      const std::vector<std::vector<float>>& features, size_t k,
+      bool compress_vo, uint32_t deadline_ms) override;
+  Result<ShardQueryResult> QueryProven(
+      const std::vector<std::vector<float>>& features,
+      const bovw::BovwVector& proven, size_t k, bool compress_vo,
+      uint32_t deadline_ms) override;
   Result<ShardRootInfo> Insert(bovw::ImageId id, bovw::BovwVector bovw,
                                Bytes image_data) override;
   Result<ShardRootInfo> Delete(bovw::ImageId id) override;
@@ -108,6 +147,13 @@ class LocalShardBackend : public ShardBackend {
   core::QueryEngine& engine() { return engine_; }
 
  private:
+  // Steps 1-3 on the calling thread, over the current snapshot.
+  Result<ShardBovwProof> Encode(const std::vector<std::vector<float>>& features,
+                                uint32_t deadline_ms, bool with_proof);
+  // The settled inverted step for `bovw` on the engine: the entry.
+  Result<ShardQueryResult> Serve(const bovw::BovwVector& bovw, size_t k,
+                                 bool compress_vo, uint32_t deadline_ms);
+
   crypto::RsaPrivateKey owner_key_;
   core::QueryEngine engine_;
 };
@@ -117,7 +163,10 @@ class LocalShardBackend : public ShardBackend {
 // frames via RetryingClient::QueryForRelay; Probe is the client's
 // keepalive probe. Updates are not routed over the wire by this backend
 // (kError) — remote-shard deployments apply updates owner-side where the
-// key lives.
+// key lives. The query frame carries features, not a BoVW vector, so a
+// remote shard always encodes (and proves) the query itself: ProveBovw
+// reports no vector but the prover's entry, and QueryProven is Query with
+// the section dropped.
 class RemoteShardBackend : public ShardBackend {
  public:
   RemoteShardBackend(std::string host, uint16_t port,
@@ -127,6 +176,13 @@ class RemoteShardBackend : public ShardBackend {
   Result<ShardQueryResult> Query(
       const std::vector<std::vector<float>>& features, size_t k,
       bool compress_vo, uint32_t deadline_ms) override;
+  Result<ShardBovwProof> ProveBovw(
+      const std::vector<std::vector<float>>& features, size_t k,
+      bool compress_vo, uint32_t deadline_ms) override;
+  Result<ShardQueryResult> QueryProven(
+      const std::vector<std::vector<float>>& features,
+      const bovw::BovwVector& proven, size_t k, bool compress_vo,
+      uint32_t deadline_ms) override;
   Result<ShardRootInfo> Insert(bovw::ImageId id, bovw::BovwVector bovw,
                                Bytes image_data) override;
   Result<ShardRootInfo> Delete(bovw::ImageId id) override;
@@ -156,7 +212,8 @@ struct CoordinatorStats {
 class Coordinator {
  public:
   // `backends[i]` serves shard i; their count must equal
-  // manifest.num_shards. `owner_key` re-signs the manifest on updates.
+  // manifest.num_shards, or every query, update and probe fails with
+  // kError. `owner_key` re-signs the manifest on updates.
   Coordinator(std::vector<std::unique_ptr<ShardBackend>> backends,
               ShardManifest manifest, crypto::RsaPrivateKey owner_key,
               CoordinatorOptions options = {});
@@ -197,14 +254,17 @@ class Coordinator {
   CoordinatorStats Stats() const;
 
  private:
-  Result<ShardRootInfo> RouteUpdate(
+  // Applies `apply` on the owning shard's backend and publishes its root.
+  Result<uint64_t> RouteUpdate(
       bovw::ImageId id,
-      const std::function<Result<ShardRootInfo>(ShardBackend&)>& apply,
-      uint32_t* shard_out);
+      const std::function<Result<ShardRootInfo>(ShardBackend&)>& apply);
   Result<uint64_t> PublishRoot(uint32_t shard_id, const ShardRootInfo& info);
 
   std::vector<std::unique_ptr<ShardBackend>> backends_;
   uint32_t num_shards_;
+  // Not OK when the backends do not match the manifest's shard count.
+  Status layout_status_;
+  std::atomic<uint32_t> next_prover_{0};
   crypto::RsaPrivateKey owner_key_;
   CoordinatorOptions options_;
 

@@ -7,7 +7,9 @@ namespace imageproof::shard {
 
 namespace {
 
-constexpr uint32_t kManifestMagic = 0x4950534D;  // "MSPI" on the wire
+// "MSP2" on the wire: the layout with the codebook root. The previous
+// layout's "MSPI" manifests fail as a bad magic.
+constexpr uint32_t kManifestMagic = 0x3250534D;
 
 Status Corrupt(const char* what) {
   return Status::Corrupted(std::string("shard manifest: ") + what);
@@ -20,6 +22,7 @@ crypto::Digest ShardManifest::ManifestDigest() const {
   b.AddU32(kManifestMagic);
   b.AddU32(num_shards);
   b.AddU64(epoch);
+  b.AddDigest(codebook_root);
   for (const ShardRoots& r : shards) {
     b.AddDigest(r.current);
     // Signatures are variable length and adjacent; explicit length prefixes
@@ -48,6 +51,7 @@ Bytes ShardManifest::Serialize() const {
   w.PutU32(kManifestMagic);
   w.PutU32(num_shards);
   w.PutU64(epoch);
+  crypto::PutDigest(w, codebook_root);
   for (const ShardRoots& r : shards) {
     crypto::PutDigest(w, r.current);
     w.PutBlob(r.current_signature);
@@ -76,6 +80,7 @@ Status ShardManifest::Deserialize(const Bytes& data, ShardManifest* out) {
     return Corrupt("shard count exceeds input size");
   }
   if (!(s = r.GetU64(&out->epoch)).ok()) return s;
+  if (!(s = crypto::GetDigest(r, &out->codebook_root)).ok()) return s;
   out->shards.clear();
   out->shards.resize(out->num_shards);
   for (ShardRoots& roots : out->shards) {

@@ -11,8 +11,12 @@
 //   * the partition: `num_shards`, with the fixed placement rule
 //     shard(id) = id mod num_shards — so a verifier can check that every
 //     result id actually belongs to the shard that claims it;
-//   * per shard, the root digest set {current, prev}: the digest a VO
-//     replay must reconstruct for that shard's slot. `prev` (when present)
+//   * the codebook root: every shard shares one codebook MRKD forest
+//     (ShardPlanner::Build), committed here once, whose replay a composite
+//     VO's single BoVW section must reconstruct;
+//   * per shard, the root digest set {current, prev}: the split root
+//     H(codebook root, list root) a VO replay must reconstruct for that
+//     shard's slot (core::SplitRootDigest). `prev` (when present)
 //     is the root of the epoch immediately before the shard's latest
 //     update, giving in-flight queries a one-epoch freshness window — a
 //     fan-out racing an epoch swap may legitimately carry one shard's
@@ -66,6 +70,9 @@ struct ShardRoots {
 struct ShardManifest {
   uint32_t num_shards = 0;
   uint64_t epoch = 0;  // bumped on every re-sign (any shard's update)
+  // Root of the codebook-only MRKD forest every shard shares; fixed for
+  // the life of the deployment (updates touch only the list trees).
+  crypto::Digest codebook_root = crypto::Digest::Zero();
   std::vector<ShardRoots> shards;  // index == shard id; size == num_shards
   Bytes signature;  // RsaSign(owner, ManifestDigest())
 

@@ -42,6 +42,7 @@ ShardedDeployment ShardPlanner::Build(
   core::BuildOverrides overrides;
   overrides.weights = &weights;
   overrides.keys = &out.keys;
+  overrides.split_root = true;
   out.shards.reserve(num_shards);
   for (uint32_t sid = 0; sid < num_shards; ++sid) {
     out.shards.push_back(core::BuildDeployment(
@@ -51,6 +52,9 @@ ShardedDeployment ShardPlanner::Build(
 
   out.manifest.num_shards = num_shards;
   out.manifest.epoch = 0;
+  // The forest is a function of the codebook and config alone, so every
+  // shard built the same one.
+  out.manifest.codebook_root = out.shards[0].package->ForestRoot();
   out.manifest.shards.resize(num_shards);
   for (uint32_t sid = 0; sid < num_shards; ++sid) {
     ShardRoots& roots = out.manifest.shards[sid];
@@ -102,11 +106,16 @@ Result<OpenedShardedDeployment> OpenShardedDeployment(
     OpenedShard& shard = out.shards[sid];
     shard.params = base_params;
     shard.params.root_signature = out.manifest.shards[sid].current_signature;
+    shard.params.split_root = true;
     storage::OpenOptions open_opts;
     open_opts.params = &shard.params;
     auto pkg = storage::PackageStore::OpenCurrent(
         dir + "/" + ShardDirName(sid), open_opts, &shard.epoch);
     if (!pkg.ok()) return pkg.status();
+    if ((*pkg)->ForestRoot() != out.manifest.codebook_root) {
+      return Status::Corrupted("shard " + std::to_string(sid) +
+                               ": codebook forest diverges from the manifest");
+    }
     shard.package = std::move(*pkg);
   }
   return out;

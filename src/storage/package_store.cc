@@ -23,6 +23,9 @@ using crypto::Digest;
 
 constexpr uint32_t kStoreMagic = 0x314B5049;  // "IPK1" as on-disk LE bytes
 constexpr uint32_t kStoreVersion = 1;
+// Header flag: the package uses the split-root layout (core::SpPackage::
+// list_tree). No other flag bit is defined.
+constexpr uint32_t kFlagSplitRoot = 1;
 
 // Section ids, in file order. All nine are always present (possibly empty),
 // which lets the open path validate the TOC as one fixed shape instead of a
@@ -154,6 +157,7 @@ struct Header {
   uint64_t toc_offset = 0;
   uint64_t toc_size = 0;
   uint64_t file_size = 0;
+  bool split_root = false;
   Digest root_digest;
 };
 
@@ -178,7 +182,8 @@ Status ReadHeaderAndToc(BytesView file, Header* header,
   if (!(s = r.GetU32(&version)).ok()) return s;
   if (version != kStoreVersion) return Corrupt("unknown version");
   if (!(s = r.GetU32(&flags)).ok()) return s;
-  if (flags != 0) return Corrupt("unknown flags");
+  if ((flags & ~kFlagSplitRoot) != 0) return Corrupt("unknown flags");
+  header->split_root = (flags & kFlagSplitRoot) != 0;
   if (!(s = r.GetU32(&header->page_size)).ok()) return s;
   if (header->page_size < kMinPageSize || header->page_size > kMaxPageSize ||
       (header->page_size & (header->page_size - 1)) != 0) {
@@ -533,7 +538,7 @@ Result<Bytes> EncodePackage(const core::SpPackage& package, uint32_t page) {
   ByteWriter header;
   header.PutU32(kStoreMagic);
   header.PutU32(kStoreVersion);
-  header.PutU32(0);  // flags
+  header.PutU32(package.split_root() ? kFlagSplitRoot : 0);
   header.PutU32(page);
   header.PutU32(kNumSections);
   header.PutU64(kHeaderBytes);
@@ -716,10 +721,7 @@ Status DecodePackage(BytesView file, DecodeMode mode, core::SpPackage* pkg,
     pkg->forest->ReplaceTrees(std::move(trees));
     if (!(s = section_done(r, "trees")).ok()) return s;
   }
-  for (const auto& tree : pkg->forest->trees()) {
-    pkg->mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
-        tree.get(), pkg->config.reveal_mode, pkg->list_digests));
-  }
+  pkg->BuildAds(header.split_root);
   {
     const TocEntry& blobs = toc[kImageBlobs - 1];
     ByteReader r = section(kImageIndex);

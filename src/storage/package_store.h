@@ -14,7 +14,8 @@
 //   page 0        header  magic 'IPK1' | version | flags | page_size |
 //                         section_count | toc_offset | toc_size |
 //                         file_size | root_digest | toc_digest |
-//                         header_digest
+//                         header_digest; flags bit 0 marks the
+//                         split-root layout of a shard (core/owner.h)
 //   page 1..     TOC      per section: id(u32) | offset(u64) | size(u64) |
 //                         digest(32) — offsets page-aligned, ranges
 //                         non-overlapping and inside the file

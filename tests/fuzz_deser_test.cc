@@ -1,8 +1,9 @@
 // Deterministic byte-mutation fuzzing of every untrusted deserialization
-// surface: QueryVO, SpPackage, and PublicParams wire bytes — plus the
-// on-disk package-store format — are truncated, bit-flipped, spliced, and
-// garbled thousands of times per run, and every mutant must either parse
-// cleanly (and then fail verification, not crash) or return kCorrupted.
+// surface: QueryVO, composite VO, SpPackage, and PublicParams wire bytes —
+// plus the on-disk package-store format — are truncated, bit-flipped,
+// spliced, and garbled thousands of times per run, and every mutant must
+// either parse cleanly (and then fail verification, not crash) or return
+// kCorrupted.
 // The CI ASan job re-runs this harness with a larger IMAGEPROOF_FUZZ_ITERS
 // to lock in "no UB on hostile input" — the default here already exceeds
 // 5000 mutated inputs across the surfaces.
@@ -21,6 +22,9 @@
 #include "core/owner.h"
 #include "core/server.h"
 #include "core/vo.h"
+#include "shard/composite_client.h"
+#include "shard/coordinator.h"
+#include "shard/planner.h"
 #include "storage/package_store.h"
 #include "storage/serializer.h"
 #include "test_dir.h"
@@ -433,6 +437,73 @@ TEST_F(FuzzDeserTest, EveryVoPrefixRejectedCleanly) {
       EXPECT_EQ(s.code(), StatusCode::kCorrupted);
     }
   }
+}
+
+// Composite VOs of a tiny two-shard deployment: every mutant must fail to
+// decode (kCorrupted) or fail VerifyComposite — or, where it only touched
+// bytes nothing authenticates (an entry's advisory snapshot_version), verify
+// to exactly the honest merged answer.
+TEST(CompositeFuzzTest, MutatedCompositeNeverCrashesNorMisverifies) {
+  core::Config config = core::Config::ImageProof();
+  config.rsa_bits = 512;
+  workload::CorpusParams cp;
+  cp.num_images = 40;
+  cp.num_clusters = 32;
+  cp.seed = 5;
+  auto corpus = workload::GenerateCorpus(cp);
+  std::unordered_map<bovw::ImageId, Bytes> blobs;
+  for (const auto& [id, v] : corpus) {
+    blobs[id] = workload::GenerateImageBlob(id);
+  }
+  workload::CodebookParams cbp;
+  cbp.num_clusters = 32;
+  cbp.dims = 8;
+  ann::PointSet codebook = workload::GenerateCodebook(cbp);
+  shard::ShardedDeployment dep =
+      shard::ShardPlanner::Build(config, codebook, corpus, blobs, 2);
+  const core::PublicParams base = dep.shards[0].public_params;
+  std::vector<std::unique_ptr<shard::ShardBackend>> backends;
+  for (core::OwnerOutput& s : dep.shards) {
+    backends.push_back(std::make_unique<shard::LocalShardBackend>(
+        std::shared_ptr<const core::SpPackage>(std::move(s.package)),
+        s.public_params, dep.keys.private_key));
+  }
+  shard::Coordinator coord(std::move(backends), dep.manifest,
+                           dep.keys.private_key, {});
+  auto features = workload::GenerateQueryFeatures(codebook, 6, 0.3, 17);
+  auto foreign_features = workload::GenerateQueryFeatures(codebook, 6, 0.3, 91);
+  Result<Bytes> honest = coord.Query(features, 3);
+  Result<Bytes> foreign = coord.Query(foreign_features, 3);
+  ASSERT_TRUE(honest.ok() && foreign.ok());
+  shard::CompositeClient client(base);
+  auto baseline = client.VerifyComposite(features, 3, *honest);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().message();
+
+  Rng rng(303);
+  size_t parsed = 0, rejected = 0;
+  const size_t iters = FuzzIters() / 6;
+  for (size_t t = 0; t < iters; ++t) {
+    Bytes mutant = Mutate(*honest, *foreign, rng);
+    shard::CompositeVO vo;
+    Status s = shard::CompositeVO::Deserialize(mutant, &vo);
+    if (!s.ok()) {
+      ++rejected;
+      EXPECT_EQ(s.code(), StatusCode::kCorrupted)
+          << "iteration " << t << ": " << s.message();
+      continue;
+    }
+    ++parsed;
+    auto got = client.VerifyComposite(features, 3, mutant);
+    if (!got.ok()) continue;
+    ASSERT_EQ(got->topk.size(), baseline->topk.size()) << "iteration " << t;
+    for (size_t i = 0; i < got->topk.size(); ++i) {
+      EXPECT_EQ(got->topk[i].id, baseline->topk[i].id) << "iteration " << t;
+      EXPECT_EQ(got->topk[i].score, baseline->topk[i].score);
+    }
+    EXPECT_EQ(got->images, baseline->images) << "iteration " << t;
+  }
+  EXPECT_GT(rejected, iters / 10);
+  EXPECT_GT(parsed, 0u);
 }
 
 }  // namespace

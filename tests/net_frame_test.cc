@@ -20,6 +20,9 @@
 #include "core/server.h"
 #include "core/vo.h"
 #include "net/wire.h"
+#include "shard/composite_client.h"
+#include "shard/coordinator.h"
+#include "shard/planner.h"
 #include "workload/synthetic.h"
 
 namespace imageproof {
@@ -145,7 +148,7 @@ TEST(FrameHeaderTest, RejectsBadMagicVersionFlagsTypeLength) {
   bad[4] = 2;  // version 2 (composite protocol) is known — header decodes
   EXPECT_TRUE(net::DecodeFrameHeader(bad.data(), bad.size(), &header).ok());
   EXPECT_EQ(header.version, 2);
-  bad[4] = 3;  // one past the newest known version
+  bad[4] = net::kMaxWireVersion + 1;  // one past the newest known version
   EXPECT_EQ(net::DecodeFrameHeader(bad.data(), bad.size(), &header).code(),
             StatusCode::kCorrupted);
 
@@ -153,13 +156,17 @@ TEST(FrameHeaderTest, RejectsBadMagicVersionFlagsTypeLength) {
   bad[6] = 0;  // type below range
   EXPECT_EQ(net::DecodeFrameHeader(bad.data(), bad.size(), &header).code(),
             StatusCode::kCorrupted);
-  bad[6] = 9;  // kCompositeResponse needs version 2; above range in v1
+  bad[6] = 9;  // kCompositeResponse needs the composite version; above
+               // range in v1
   EXPECT_EQ(net::DecodeFrameHeader(bad.data(), bad.size(), &header).code(),
             StatusCode::kCorrupted);
-  bad[4] = 2;  // same type under version 2 is legal
+  bad[4] = 2;  // nor is it legal under the retired version-2 composite format
+  EXPECT_EQ(net::DecodeFrameHeader(bad.data(), bad.size(), &header).code(),
+            StatusCode::kCorrupted);
+  bad[4] = net::kWireVersionComposite;  // same type under it is legal
   EXPECT_TRUE(net::DecodeFrameHeader(bad.data(), bad.size(), &header).ok());
   EXPECT_EQ(header.type, FrameType::kCompositeResponse);
-  bad[6] = 10;  // still one past the newest version-2 type
+  bad[6] = 10;  // still one past the newest composite-version type
   EXPECT_EQ(net::DecodeFrameHeader(bad.data(), bad.size(), &header).code(),
             StatusCode::kCorrupted);
 
@@ -179,8 +186,8 @@ TEST(FrameHeaderTest, RejectsBadMagicVersionFlagsTypeLength) {
 }
 
 TEST(FrameHeaderTest, CompositeFlagIsVersionAndTypeGated) {
-  // kFrameFlagComposite is only meaningful on a version-2 kQuery; anywhere
-  // else it is a reserved bit and the frame is corrupt.
+  // kFrameFlagComposite is only meaningful on a kQuery of the composite
+  // version; anywhere else it is a reserved bit and the frame is corrupt.
   net::QueryRequest qr;
   qr.k = 3;
   qr.features = {{1.0f, 2.0f}};
@@ -192,9 +199,13 @@ TEST(FrameHeaderTest, CompositeFlagIsVersionAndTypeGated) {
   EXPECT_EQ(header.version, net::kWireVersionComposite);
   EXPECT_EQ(header.flags & net::kFrameFlagComposite, net::kFrameFlagComposite);
 
-  // Same frame downgraded to version 1: the flag becomes reserved.
+  // Same frame downgraded to version 1, or to the retired version-2
+  // composite format: the flag becomes reserved.
   Bytes v1 = v2;
   v1[4] = 1;
+  EXPECT_EQ(net::DecodeFrameHeader(v1.data(), v1.size(), &header).code(),
+            StatusCode::kCorrupted);
+  v1[4] = 2;
   EXPECT_EQ(net::DecodeFrameHeader(v1.data(), v1.size(), &header).code(),
             StatusCode::kCorrupted);
 
@@ -618,6 +629,124 @@ TEST_F(WireFuzzTest, SingleBitFlipScanOverResponseFrame) {
   // And acceptance stays confined to a sliver of the frame: the scan is
   // meaningful only if the overwhelming majority of flips are caught.
   EXPECT_LT(accepted, response_frame_.size() * 8 / 100);
+}
+
+// Composite response frames (kWireVersionComposite) of a tiny two-shard
+// deployment, through the client's whole path: extract, decode, verify.
+class CompositeWireFuzzTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    core::Config config = core::Config::ImageProof();
+    config.rsa_bits = 512;
+    workload::CorpusParams cp;
+    cp.num_images = 40;
+    cp.num_clusters = 32;
+    cp.seed = 5;
+    auto corpus = workload::GenerateCorpus(cp);
+    std::unordered_map<bovw::ImageId, Bytes> blobs;
+    for (const auto& [id, v] : corpus) {
+      blobs[id] = workload::GenerateImageBlob(id);
+    }
+    workload::CodebookParams cbp;
+    cbp.num_clusters = 32;
+    cbp.dims = 8;
+    ann::PointSet codebook = workload::GenerateCodebook(cbp);
+    shard::ShardedDeployment dep =
+        shard::ShardPlanner::Build(config, codebook, corpus, blobs, 2);
+    base_ = dep.shards[0].public_params;
+    std::vector<std::unique_ptr<shard::ShardBackend>> backends;
+    for (core::OwnerOutput& s : dep.shards) {
+      backends.push_back(std::make_unique<shard::LocalShardBackend>(
+          std::shared_ptr<const core::SpPackage>(std::move(s.package)),
+          s.public_params, dep.keys.private_key));
+    }
+    shard::Coordinator coord(std::move(backends), dep.manifest,
+                             dep.keys.private_key, {});
+    features_ = workload::GenerateQueryFeatures(codebook, 6, 0.3, 17);
+    Result<Bytes> honest = coord.Query(features_, 3);
+    Result<Bytes> foreign =
+        coord.Query(workload::GenerateQueryFeatures(codebook, 6, 0.3, 91), 3);
+    ASSERT_TRUE(honest.ok() && foreign.ok());
+    frame_ = net::EncodeFrame(FrameType::kCompositeResponse, *honest, 0,
+                              net::kWireVersionComposite);
+    foreign_frame_ = net::EncodeFrame(FrameType::kCompositeResponse, *foreign,
+                                      0, net::kWireVersionComposite);
+  }
+
+  bool ClientAccepts(Bytes mutant,
+                     shard::CompositeVerifiedResults* accepted) const {
+    FrameHeader header;
+    Bytes payload;
+    Status err;
+    ExtractResult er = net::TryExtractFrame(&mutant, &header, &payload, &err);
+    if (er != ExtractResult::kFrame) {
+      if (er == ExtractResult::kCorrupt) {
+        EXPECT_EQ(err.code(), StatusCode::kCorrupted);
+      }
+      return false;
+    }
+    if (header.type != FrameType::kCompositeResponse) return false;
+    shard::CompositeClient client(base_);
+    auto verified = client.VerifyComposite(features_, 3, payload);
+    if (!verified.ok()) return false;
+    if (accepted != nullptr) *accepted = std::move(verified).value();
+    return true;
+  }
+
+  static void ExpectSame(const shard::CompositeVerifiedResults& got,
+                         const shard::CompositeVerifiedResults& want,
+                         size_t iteration) {
+    ASSERT_EQ(got.topk.size(), want.topk.size()) << "iteration " << iteration;
+    for (size_t i = 0; i < want.topk.size(); ++i) {
+      ASSERT_EQ(got.topk[i].id, want.topk[i].id) << "iteration " << iteration;
+      ASSERT_EQ(got.topk[i].score, want.topk[i].score)
+          << "iteration " << iteration;
+    }
+    ASSERT_EQ(got.images, want.images) << "iteration " << iteration;
+  }
+
+  core::PublicParams base_;
+  std::vector<std::vector<float>> features_;
+  Bytes frame_, foreign_frame_;
+};
+
+TEST_F(CompositeWireFuzzTest, MutatedCompositeFramesNeverVerifyCorrupted) {
+  shard::CompositeVerifiedResults baseline;
+  ASSERT_TRUE(ClientAccepts(frame_, &baseline));
+  const size_t iters = FuzzIters() / 2;
+  Rng rng(0xC0FFEE);
+  size_t accepted = 0;
+  for (size_t i = 0; i < iters; ++i) {
+    shard::CompositeVerifiedResults got;
+    if (ClientAccepts(Mutate(frame_, foreign_frame_, rng), &got)) {
+      ExpectSame(got, baseline, i);
+      ++accepted;
+    }
+  }
+  EXPECT_LT(accepted, iters / 10);
+}
+
+TEST_F(CompositeWireFuzzTest, SingleBitFlipScanOverCompositeFrame) {
+  // Every bit of the frame flipped once. Accepted flips must leave the
+  // verified answer untouched — the advisory per-entry snapshot_version
+  // fields, and proof bytes without semantic weight.
+  shard::CompositeVerifiedResults baseline;
+  ASSERT_TRUE(ClientAccepts(frame_, &baseline));
+  size_t accepted = 0;
+  for (size_t byte = 0; byte < frame_.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes mutant = frame_;
+      mutant[byte] ^= static_cast<uint8_t>(1u << bit);
+      shard::CompositeVerifiedResults got;
+      if (ClientAccepts(std::move(mutant), &got)) {
+        ExpectSame(got, baseline, byte * 8 + bit);
+        ++accepted;
+      }
+    }
+  }
+  // Two entries' snapshot versions: 2 x 64 bits at least.
+  EXPECT_GE(accepted, 128u);
+  EXPECT_LT(accepted, frame_.size() * 8 / 100);
 }
 
 }  // namespace

@@ -83,6 +83,16 @@ TEST(QueryCacheTest, KeySeparatesEpochFlagKAndFeatures) {
   EXPECT_NE(base, core::QueryCache::Key(1, false, 5, a, true));
   EXPECT_EQ(core::QueryCache::Key(1, false, 5, a, true),
             core::QueryCache::Key(1, false, 5, a, true));
+  // Serves for a proven BoVW vector key on the vector, apart from every
+  // feature-keyed entry.
+  bovw::BovwVector v{{{3, 1}, {7, 2}}};
+  bovw::BovwVector w{{{3, 2}, {7, 1}}};
+  auto proven = core::QueryCache::ProvenKey(1, false, 5, v, true);
+  EXPECT_EQ(proven, core::QueryCache::ProvenKey(1, false, 5, v, true));
+  EXPECT_NE(proven, core::QueryCache::ProvenKey(1, false, 5, w, true));
+  EXPECT_NE(proven, core::QueryCache::ProvenKey(2, false, 5, v, true));
+  EXPECT_NE(proven, core::QueryCache::ProvenKey(1, false, 5, v, false));
+  EXPECT_NE(proven, core::QueryCache::Key(1, false, 5, a, true));
 }
 
 TEST(QueryCacheTest, InsertLookupAndLruEviction) {

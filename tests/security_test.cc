@@ -999,11 +999,12 @@ class CompositeAdversaryTest : public ::testing::Test {
         shard::ShardPlanner::Build(config, codebook_, corpus_, blobs_, 2);
     base_params_ = dep.shards[0].public_params;
     keys_ = dep.keys;
-    // Keep shard 0's package shared so UnsettledScores can serve it raw.
+    // Keep the packages shared so attacks can serve them raw.
     std::vector<std::unique_ptr<shard::ShardBackend>> backends;
     for (core::OwnerOutput& s : dep.shards) {
       std::shared_ptr<const core::SpPackage> pkg(std::move(s.package));
-      if (packages_.empty()) packages_.push_back(pkg);
+      packages_.push_back(pkg);
+      shard_params_.push_back(s.public_params);
       backends.push_back(std::make_unique<shard::LocalShardBackend>(
           std::move(pkg), s.public_params, dep.keys.private_key));
     }
@@ -1022,6 +1023,26 @@ class CompositeAdversaryTest : public ::testing::Test {
     return client.VerifyComposite(features_, 5, vo.Serialize()).ok();
   }
 
+  // Shard `sid`'s settled entry for an arbitrary BoVW vector, as a shard
+  // that ignored the proven one would serve it.
+  Bytes EntryFor(uint32_t sid, const bovw::BovwVector& v) {
+    core::ServiceProvider sp(packages_[sid].get());
+    core::ServeOptions serve;
+    serve.settle_exact_topk = true;
+    serve.proven_bovw = &v;
+    core::QueryResponse resp;
+    EXPECT_TRUE(sp.Query({}, 5, {}, {}, serve, &resp).ok());
+    return resp.vo.Serialize();
+  }
+
+  // The vector the honest BoVW section proves.
+  bovw::BovwVector HonestVector() {
+    core::Client client(base_params_);
+    auto v = client.VerifyBovwSection(features_, honest_.bovw);
+    EXPECT_TRUE(v.ok());
+    return v.ok() ? v->query_bovw : bovw::BovwVector{};
+  }
+
   std::vector<std::pair<bovw::ImageId, bovw::BovwVector>> corpus_;
   std::unordered_map<bovw::ImageId, Bytes> blobs_;
   ann::PointSet codebook_;
@@ -1029,6 +1050,7 @@ class CompositeAdversaryTest : public ::testing::Test {
   core::PublicParams base_params_;
   crypto::RsaKeyPair keys_;
   std::vector<std::shared_ptr<const core::SpPackage>> packages_;
+  std::vector<core::PublicParams> shard_params_;
   std::unique_ptr<shard::Coordinator> coordinator_;
   Bytes honest_bytes_;
   shard::CompositeVO honest_;
@@ -1167,6 +1189,191 @@ TEST_F(CompositeAdversaryTest, UnsettledScoresRejected) {
   ASSERT_TRUE(shard::CompositeVO::Deserialize(*honest, &vo).ok());
   vo.entries[0].vo_bytes = resp.vo.Serialize();
   EXPECT_FALSE(client.VerifyComposite(features, 5, vo.Serialize()).ok());
+}
+
+TEST_F(CompositeAdversaryTest, TamperedBovwSectionRejected) {
+  // The one BoVW section every entry is scored on: a bit anywhere in it —
+  // threshold, reveal, tree token — or a missing tree must not verify.
+  shard::CompositeVO vo = honest_;
+  ASSERT_FALSE(vo.bovw.thresholds_sq.empty());
+  vo.bovw.thresholds_sq[0] *= 4;
+  EXPECT_FALSE(Accepts(vo));
+
+  vo = honest_;
+  ASSERT_FALSE(vo.bovw.reveal_section.empty());
+  vo.bovw.reveal_section[vo.bovw.reveal_section.size() / 2] ^= 0x01;
+  EXPECT_FALSE(Accepts(vo));
+
+  vo = honest_;
+  ASSERT_FALSE(vo.bovw.tree_vos.empty());
+  Bytes& tree = vo.bovw.tree_vos[0];
+  tree[tree.size() / 2] ^= 0x01;
+  EXPECT_FALSE(Accepts(vo));
+
+  vo = honest_;
+  vo.bovw.tree_vos.pop_back();
+  EXPECT_FALSE(Accepts(vo));
+}
+
+TEST_F(CompositeAdversaryTest, SplicedBovwSectionRejected) {
+  // A genuine BoVW section, but proven for another query: it replays to
+  // the right codebook root, yet not for this client's features.
+  auto other = workload::FeaturesFromBovw(codebook_, corpus_[7].second, 24,
+                                          0.2, 0.1, 5);
+  Result<Bytes> r = coordinator_->Query(other, 5);
+  ASSERT_TRUE(r.ok());
+  shard::CompositeVO foreign;
+  ASSERT_TRUE(shard::CompositeVO::Deserialize(*r, &foreign).ok());
+  ASSERT_NE(foreign.bovw.reveal_section, honest_.bovw.reveal_section);
+  shard::CompositeVO vo = honest_;
+  vo.bovw = foreign.bovw;
+  EXPECT_FALSE(Accepts(vo));
+  // Nor does the whole foreign composite answer this query.
+  EXPECT_FALSE(Accepts(foreign));
+}
+
+TEST_F(CompositeAdversaryTest, ShardScoringDifferentVectorRejected) {
+  // Shard 1 answers (validly, under its own root) for a vector other than
+  // the one the BoVW section proves: a word dropped or added changes the
+  // lists the inverted VO must reveal, so it cannot verify.
+  const bovw::BovwVector honest_vec = HonestVector();
+  ASSERT_GE(honest_vec.entries.size(), 2u);
+  ASSERT_EQ(EntryFor(1, honest_vec), honest_.entries[1].vo_bytes);
+
+  bovw::BovwVector fewer = honest_vec;
+  fewer.entries.erase(fewer.entries.begin());
+  shard::CompositeVO vo = honest_;
+  vo.entries[1].vo_bytes = EntryFor(1, fewer);
+  EXPECT_FALSE(Accepts(vo));
+
+  bovw::BovwVector added = honest_vec;
+  for (uint32_t c = 0; c < codebook_.size(); ++c) {
+    if (added.FrequencyOf(c) == 0) {
+      added.entries.push_back({c, 1});
+      break;
+    }
+  }
+  std::sort(added.entries.begin(), added.entries.end());
+  vo = honest_;
+  vo.entries[1].vo_bytes = EntryFor(1, added);
+  EXPECT_FALSE(Accepts(vo));
+
+  // A changed frequency keeps the list set. The client scores every entry
+  // with the vector it verified itself, so such an entry either fails or
+  // proves exactly the honest answer — never a different one.
+  shard::CompositeClient client(base_params_);
+  auto honest = client.VerifyComposite(features_, 5, honest_bytes_);
+  ASSERT_TRUE(honest.ok());
+  for (size_t i = 0; i < honest_vec.entries.size(); ++i) {
+    bovw::BovwVector more = honest_vec;
+    more.entries[i].second += 3;
+    vo = honest_;
+    vo.entries[1].vo_bytes = EntryFor(1, more);
+    auto got = client.VerifyComposite(features_, 5, vo.Serialize());
+    if (!got.ok()) continue;
+    ASSERT_EQ(got->topk.size(), honest->topk.size());
+    for (size_t j = 0; j < got->topk.size(); ++j) {
+      EXPECT_EQ(got->topk[j].id, honest->topk[j].id);
+      EXPECT_EQ(got->topk[j].score, honest->topk[j].score);
+    }
+  }
+}
+
+TEST_F(CompositeAdversaryTest, BadListProofRejected) {
+  core::QueryVO entry;
+  ASSERT_TRUE(
+      core::QueryVO::Deserialize(honest_.entries[1].vo_bytes, &entry).ok());
+  const std::vector<crypto::Digest> proof = entry.list_proof;
+  ASSERT_FALSE(proof.empty());
+  auto with_proof = [&](const std::vector<crypto::Digest>& p) {
+    core::QueryVO mutated = entry;
+    mutated.list_proof = p;
+    shard::CompositeVO vo = honest_;
+    vo.entries[1].vo_bytes = mutated.Serialize();
+    return Accepts(vo);
+  };
+  ASSERT_TRUE(with_proof(proof));
+
+  // A wrong digest in the proof.
+  std::vector<crypto::Digest> flipped = proof;
+  flipped[0].bytes[0] ^= 0x01;
+  EXPECT_FALSE(with_proof(flipped));
+  // A genuine proof, but for other clusters of the same list tree.
+  std::vector<uint32_t> others;
+  for (const auto& [c, f] : HonestVector().entries) {
+    others.push_back((c + 1) % static_cast<uint32_t>(codebook_.size()));
+  }
+  std::sort(others.begin(), others.end());
+  others.erase(std::unique(others.begin(), others.end()), others.end());
+  EXPECT_FALSE(with_proof(packages_[1]->list_tree->ProveSubset(others)));
+  // Shard 0's (valid) proof for the same clusters.
+  core::QueryVO entry0;
+  ASSERT_TRUE(
+      core::QueryVO::Deserialize(honest_.entries[0].vo_bytes, &entry0).ok());
+  ASSERT_NE(entry0.list_proof, proof);
+  EXPECT_FALSE(with_proof(entry0.list_proof));
+  // A truncated, padded or missing proof.
+  std::vector<crypto::Digest> shorter(proof.begin(), proof.end() - 1);
+  EXPECT_FALSE(with_proof(shorter));
+  std::vector<crypto::Digest> longer = proof;
+  longer.push_back(proof[0]);
+  EXPECT_FALSE(with_proof(longer));
+  EXPECT_FALSE(with_proof({}));
+}
+
+TEST_F(CompositeAdversaryTest, ManifestCodebookRootMismatchRejected) {
+  // Even an owner-signed manifest must commit the codebook the BoVW
+  // section replays to.
+  shard::ShardManifest m;
+  ASSERT_TRUE(
+      shard::ShardManifest::Deserialize(honest_.manifest_bytes, &m).ok());
+  EXPECT_EQ(m.codebook_root, packages_[0]->ForestRoot());
+  m.codebook_root.bytes[0] ^= 0x01;
+  m.Sign(keys_.private_key);
+  shard::CompositeVO vo = honest_;
+  vo.manifest_bytes = m.Serialize();
+  EXPECT_FALSE(Accepts(vo));
+}
+
+TEST_F(CompositeAdversaryTest, EntryCarryingItsOwnBovwSectionRejected) {
+  // An entry must be inverted-only: a full VO in an entry slot (even a
+  // valid one) is not the format.
+  core::ServiceProvider sp(packages_[1].get());
+  core::ServeOptions serve;
+  serve.settle_exact_topk = true;
+  core::QueryResponse resp;
+  ASSERT_TRUE(sp.Query(features_, 5, {}, {}, serve, &resp).ok());
+  ASSERT_TRUE(resp.vo.has_bovw_section());
+  shard::CompositeVO vo = honest_;
+  vo.entries[1].vo_bytes = resp.vo.Serialize();
+  EXPECT_FALSE(Accepts(vo));
+}
+
+TEST_F(CompositeAdversaryTest, OldFormatCompositeRejectedAsCorrupted) {
+  // The version-2 layout: magic | manifest | entries, each entry a full
+  // per-shard VO. No decoder reads it any more.
+  ByteWriter w;
+  w.PutU32(0x4950434F);
+  w.PutBlob(honest_.manifest_bytes);
+  w.PutU32(static_cast<uint32_t>(honest_.entries.size()));
+  for (uint32_t sid = 0; sid < honest_.entries.size(); ++sid) {
+    core::ServiceProvider sp(packages_[sid].get());
+    core::ServeOptions serve;
+    serve.settle_exact_topk = true;
+    core::QueryResponse resp;
+    ASSERT_TRUE(sp.Query(features_, 5, {}, {}, serve, &resp).ok());
+    w.PutU32(sid);
+    w.PutU64(0);
+    w.PutBlob(honest_.entries[sid].root_signature);
+    w.PutBlob(resp.vo.Serialize());
+  }
+  const Bytes v2 = w.Take();
+  shard::CompositeVO decoded;
+  EXPECT_EQ(shard::CompositeVO::Deserialize(v2, &decoded).code(),
+            StatusCode::kCorrupted);
+  shard::CompositeClient client(base_params_);
+  EXPECT_EQ(client.VerifyComposite(features_, 5, v2).status().code(),
+            StatusCode::kCorrupted);
 }
 
 TEST_F(CompositeAdversaryTest, TamperedEntrySignatureRejected) {

@@ -32,6 +32,7 @@
 #include "shard/manifest.h"
 #include "shard/planner.h"
 #include "storage/file_io.h"
+#include "storage/serializer.h"
 #include "test_dir.h"
 #include "workload/synthetic.h"
 
@@ -161,6 +162,9 @@ TEST(ShardManifestTest, SaveLoadAndTamper) {
 TEST(CompositeCodecTest, RoundTripAndHardened) {
   shard::CompositeVO vo;
   vo.manifest_bytes = Bytes{1, 2, 3, 4};
+  vo.bovw.thresholds_sq = {0.5, 2.25};
+  vo.bovw.reveal_section = Bytes{4, 4, 4};
+  vo.bovw.tree_vos = {Bytes{1}, Bytes{2, 3}};
   vo.entries.push_back({0, 5, Bytes{7, 8}, Bytes{9}});
   vo.entries.push_back({1, 6, Bytes{}, Bytes{1, 2, 3}});
   const Bytes good = vo.Serialize();
@@ -168,6 +172,9 @@ TEST(CompositeCodecTest, RoundTripAndHardened) {
   shard::CompositeVO out;
   ASSERT_TRUE(shard::CompositeVO::Deserialize(good, &out).ok());
   EXPECT_EQ(out.manifest_bytes, vo.manifest_bytes);
+  EXPECT_EQ(out.bovw.thresholds_sq, vo.bovw.thresholds_sq);
+  EXPECT_EQ(out.bovw.reveal_section, vo.bovw.reveal_section);
+  EXPECT_EQ(out.bovw.tree_vos, vo.bovw.tree_vos);
   ASSERT_EQ(out.entries.size(), 2u);
   EXPECT_EQ(out.entries[0].shard_id, 0u);
   EXPECT_EQ(out.entries[0].snapshot_version, 5u);
@@ -188,6 +195,14 @@ TEST(CompositeCodecTest, RoundTripAndHardened) {
   empty.manifest_bytes = Bytes{1};
   EXPECT_EQ(shard::CompositeVO::Deserialize(empty.Serialize(), &out).code(),
             StatusCode::kCorrupted);
+
+  // Any other format version is refused.
+  for (uint32_t version : {0u, 2u, 4u}) {
+    Bytes other = good;
+    StoreU32(other.data() + 4, version);
+    EXPECT_EQ(shard::CompositeVO::Deserialize(other, &out).code(),
+              StatusCode::kCorrupted);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -566,6 +581,121 @@ TEST(ShardServingTest, PersistenceRoundTripAndManifestTamper) {
   Result<shard::OpenedShardedDeployment> bad =
       shard::OpenShardedDeployment(dir, base);
   EXPECT_FALSE(bad.ok());
+}
+
+TEST(ShardServingTest, BackendCountMismatchFailsEveryOperation) {
+  TestData d = MakeData();
+  const std::vector<std::vector<float>> features = QueryFeatures(d);
+  shard::ShardedDeployment dep =
+      shard::ShardPlanner::Build(d.config, d.codebook, d.corpus, d.blobs, 3);
+  for (size_t count : {size_t{2}, size_t{4}}) {
+    std::vector<std::unique_ptr<shard::ShardBackend>> backends;
+    for (size_t i = 0; i < count; ++i) {
+      const core::OwnerOutput& s = dep.shards[i % dep.shards.size()];
+      Result<std::unique_ptr<core::SpPackage>> pkg = storage::
+          DeserializeSpPackage(storage::SerializeSpPackage(*s.package));
+      ASSERT_TRUE(pkg.ok());
+      backends.push_back(std::make_unique<shard::LocalShardBackend>(
+          std::shared_ptr<const core::SpPackage>(std::move(*pkg)),
+          s.public_params, dep.keys.private_key));
+    }
+    shard::Coordinator coord(std::move(backends), dep.manifest,
+                             dep.keys.private_key, {});
+    EXPECT_EQ(coord.Query(features, 5).status().code(), StatusCode::kError)
+        << count << " backends";
+    // Ids of every residue, including the slot a short vector lacks.
+    for (bovw::ImageId id : {900u, 901u, 902u}) {
+      EXPECT_EQ(coord.Insert(id, d.corpus[0].second,
+                             workload::GenerateImageBlob(id))
+                    .status()
+                    .code(),
+                StatusCode::kError);
+      EXPECT_EQ(coord.Delete(d.corpus[id % 3].first).status().code(),
+                StatusCode::kError);
+    }
+    EXPECT_EQ(coord.ProbeAll().code(), StatusCode::kError);
+    EXPECT_EQ(coord.CurrentManifest()->epoch, 0u);
+  }
+}
+
+TEST(ShardServingTest, BovwProvenOnceOnSharedCodebookForest) {
+  TestData d = MakeData();
+  const std::vector<std::vector<float>> features = QueryFeatures(d);
+  const size_t k = 5;
+  shard::ShardedDeployment dep =
+      shard::ShardPlanner::Build(d.config, d.codebook, d.corpus, d.blobs, 3);
+  for (const core::OwnerOutput& s : dep.shards) {
+    ASSERT_TRUE(s.package->split_root());
+    EXPECT_EQ(s.package->ForestRoot(), dep.manifest.codebook_root);
+    EXPECT_EQ(s.package->RootDigest(),
+              core::SplitRootDigest(dep.manifest.codebook_root,
+                                    s.package->list_tree->root()));
+  }
+  // Distinct shards, distinct list roots.
+  EXPECT_NE(dep.shards[0].package->RootDigest(),
+            dep.shards[1].package->RootDigest());
+
+  std::vector<shard::LocalShardBackend*> locals;
+  std::vector<std::unique_ptr<shard::ShardBackend>> backends;
+  std::vector<std::shared_ptr<const core::SpPackage>> packages;
+  for (core::OwnerOutput& s : dep.shards) {
+    packages.emplace_back(std::move(s.package));
+    auto b = std::make_unique<shard::LocalShardBackend>(
+        packages.back(), s.public_params, dep.keys.private_key);
+    locals.push_back(b.get());
+    backends.push_back(std::move(b));
+  }
+  shard::Coordinator coord(std::move(backends), dep.manifest,
+                           dep.keys.private_key, {});
+
+  // The prover rotates across queries; the bytes must not tell which shard
+  // proved the BoVW step.
+  Result<Bytes> first = coord.Query(features, k);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  for (int i = 0; i < 3; ++i) {
+    Result<Bytes> again = coord.Query(features, k);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, *first) << "query " << i;
+  }
+  shard::CompositeVO vo;
+  ASSERT_TRUE(shard::CompositeVO::Deserialize(*first, &vo).ok());
+  EXPECT_EQ(vo.bovw.tree_vos.size(),
+            static_cast<size_t>(d.config.forest.num_trees));
+  ASSERT_EQ(vo.entries.size(), 3u);
+  for (uint32_t sid = 0; sid < 3; ++sid) {
+    core::QueryVO entry;
+    ASSERT_TRUE(core::QueryVO::Deserialize(vo.entries[sid].vo_bytes, &entry)
+                    .ok());
+    EXPECT_FALSE(entry.has_bovw_section());
+    // A backend's own (unproven) encoding answers the same entry bytes.
+    Result<shard::ShardQueryResult> own =
+        locals[sid]->Query(features, k, false, 0);
+    ASSERT_TRUE(own.ok());
+    EXPECT_EQ(own->vo_bytes, vo.entries[sid].vo_bytes);
+    // And a full split-root VO of the shard verifies on its own.
+    core::ServiceProvider sp(packages[sid].get());
+    core::ServeOptions serve;
+    serve.settle_exact_topk = true;
+    core::QueryResponse resp;
+    ASSERT_TRUE(sp.Query(features, k, {}, {}, serve, &resp).ok());
+    core::Client single(locals[sid]->engine().CurrentSnapshot()->params);
+    auto verified = single.Verify(features, k, resp.vo);
+    ASSERT_TRUE(verified.ok()) << verified.status().message();
+    EXPECT_TRUE(dep.manifest.shards[sid].Allows(verified->root_digest));
+  }
+
+  // An update re-hashes one list-tree path per touched list, never the
+  // shared forest, and the codebook root stays committed.
+  const bovw::ImageId id = 3000;  // shard 0
+  Result<core::UpdateStats> applied = locals[0]->engine().InsertImage(
+      dep.keys.private_key, id, d.corpus[5].second,
+      workload::GenerateImageBlob(id));
+  ASSERT_TRUE(applied.ok()) << applied.status().message();
+  const size_t path = 1 + 7;  // leaf + ceil(log2(96)) levels
+  EXPECT_LE(applied->mrkd_nodes_rehashed, applied->lists_updated * path);
+  auto snap = locals[0]->engine().CurrentSnapshot();
+  EXPECT_EQ(snap->package->ForestRoot(), dep.manifest.codebook_root);
+  EXPECT_NE(snap->package->RootDigest(), packages[0]->RootDigest());
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // computed, never how many. These tests pin the crypto::HashInvocations()
 // delta of one Client::Verify (and one VerifyComposite) on seeded small
 // deployments: a batched path that skips a digest or hashes one twice moves
-// the count and fails here.
+// the count and fails here. The composite pins also show the shared BoVW
+// section is replayed once, not once per shard.
 
 #include <gtest/gtest.h>
 
@@ -90,15 +91,24 @@ TEST(VerifyHashParityTest, BaselinePerQueryStreams) {
   EXPECT_EQ(VerifyHashes(core::Config::Baseline()), 1348u);
 }
 
-TEST(VerifyHashParityTest, Composite) {
+// Digests of one honest VerifyComposite at `num_shards`, split into the
+// one BoVW section, the inverted-only entries, and the rest (the manifest).
+struct CompositeHashes {
+  uint64_t total = 0;
+  uint64_t bovw = 0;
+  uint64_t entries = 0;
+};
+
+CompositeHashes CountCompositeHashes(uint32_t num_shards) {
+  CompositeHashes out;
   core::Config config = core::Config::ImageProof();
   config.rsa_bits = 512;
   Corpus c = MakeCorpus(120, 96, 12, 21);
   auto features =
       workload::FeaturesFromBovw(c.codebook, c.images[3].second, 24, 0.2, 0.1,
                                  99);
-  shard::ShardedDeployment dep =
-      shard::ShardPlanner::Build(config, c.codebook, c.images, c.blobs, 2);
+  shard::ShardedDeployment dep = shard::ShardPlanner::Build(
+      config, c.codebook, c.images, c.blobs, num_shards);
   core::PublicParams params = dep.shards[0].public_params;
   std::vector<std::unique_ptr<shard::ShardBackend>> backends;
   for (core::OwnerOutput& s : dep.shards) {
@@ -110,14 +120,53 @@ TEST(VerifyHashParityTest, Composite) {
                                  dep.keys.private_key,
                                  shard::CoordinatorOptions{});
   Result<Bytes> composite = coordinator.Query(features, 5);
-  ASSERT_TRUE(composite.ok()) << composite.status().message();
+  EXPECT_TRUE(composite.ok()) << composite.status().message();
+  if (!composite.ok()) return out;
 
   shard::CompositeClient client(params);
-  const uint64_t before = crypto::HashInvocations();
+  uint64_t before = crypto::HashInvocations();
   auto verified = client.VerifyComposite(features, 5, *composite);
-  const uint64_t hashes = crypto::HashInvocations() - before;
-  ASSERT_TRUE(verified.ok()) << verified.status().message();
-  EXPECT_EQ(hashes, 679u);
+  out.total = crypto::HashInvocations() - before;
+  EXPECT_TRUE(verified.ok()) << verified.status().message();
+
+  // The same checks, section by section.
+  shard::CompositeVO vo;
+  EXPECT_TRUE(shard::CompositeVO::Deserialize(*composite, &vo).ok());
+  core::Client bovw_client(params);
+  before = crypto::HashInvocations();
+  auto bovw = bovw_client.VerifyBovwSection(features, vo.bovw);
+  out.bovw = crypto::HashInvocations() - before;
+  EXPECT_TRUE(bovw.ok());
+  if (!bovw.ok()) return out;
+  for (const shard::CompositeEntry& e : vo.entries) {
+    core::QueryVO entry;
+    EXPECT_TRUE(core::QueryVO::Deserialize(e.vo_bytes, &entry).ok());
+    core::PublicParams shard_params = params;
+    shard_params.root_signature = e.root_signature;
+    core::Client entry_client(shard_params);
+    before = crypto::HashInvocations();
+    EXPECT_TRUE(entry_client.VerifyEntry(*bovw, 5, entry).ok());
+    out.entries += crypto::HashInvocations() - before;
+  }
+  return out;
+}
+
+TEST(VerifyHashParityTest, Composite) {
+  EXPECT_EQ(CountCompositeHashes(2).total, 454u);
+}
+
+// The BoVW encoding is replayed once per composite whatever the fan-out:
+// going from 1 to 4 shards adds inverted-section hashes only.
+TEST(VerifyHashParityTest, CompositeReplaysBovwOnce) {
+  const CompositeHashes one = CountCompositeHashes(1);
+  const CompositeHashes four = CountCompositeHashes(4);
+  EXPECT_EQ(one.bovw, four.bovw);
+  EXPECT_EQ(one.total - one.bovw - one.entries,
+            four.total - four.bovw - four.entries);
+  EXPECT_EQ(four.total - one.total, four.entries - one.entries);
+  EXPECT_EQ(four.bovw, 279u);
+  EXPECT_EQ(one.total, 403u);
+  EXPECT_EQ(four.total, 546u);
 }
 
 }  // namespace
