@@ -25,10 +25,16 @@
 // once, so it is gated on hardware_concurrency() >= 4 (a single-core box
 // can only interleave them — correctness still asserts, the speedup
 // cannot); the report records hw_threads so the baseline is interpretable.
+//
+// The set-up rows time what a deployment pays before it serves, per shard
+// count: the planner build, the persist (WriteShardedDeployment) and the
+// reopen from disk (OpenShardedDeployment), which decodes the codebook
+// piece once and adopts it for every other shard.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -53,6 +59,10 @@ double Percentile(const std::vector<double>& sorted, double p) {
 }
 
 struct ShardRun {
+  // Set-up: planner build, persist, reopen from disk.
+  double build_ms = 0;
+  double persist_ms = 0;
+  double open_ms = 0;
   double p50_ms = 0;
   double p99_ms = 0;
   double qps = 0;
@@ -124,10 +134,25 @@ int main(int argc, char** argv) {
   shard::ShardManifest manifest4;
   crypto::RsaPrivateKey key4;
   for (uint32_t num_shards : shard_counts) {
+    ShardRun run;
+    Stopwatch build_timer;
     shard::ShardedDeployment dep =
         shard::ShardPlanner::Build(config, codebook, corpus, blobs,
                                    num_shards, spec.seed + 2);
+    run.build_ms = build_timer.ElapsedMillis();
     const core::PublicParams base = dep.shards[0].public_params;
+    {
+      const std::string dir =
+          "/tmp/imageproof_abl_shard_" + std::to_string(num_shards);
+      Stopwatch persist_timer;
+      if (!shard::WriteShardedDeployment(dir, dep).ok()) ++run.errors;
+      run.persist_ms = persist_timer.ElapsedMillis();
+      Stopwatch open_timer;
+      if (!shard::OpenShardedDeployment(dir, base).ok()) ++run.errors;
+      run.open_ms = open_timer.ElapsedMillis();
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
     std::vector<std::unique_ptr<shard::ShardBackend>> backends;
     for (core::OwnerOutput& s : dep.shards) {
       std::shared_ptr<const core::SpPackage> pkg(std::move(s.package));
@@ -150,7 +175,6 @@ int main(int argc, char** argv) {
                              dep.keys.private_key, copts);
     shard::CompositeClient client(base);
 
-    ShardRun run;
     run.merged.resize(mix.pool_size());
 
     // Warm path: serve and verify every pool entry once before timing, and
@@ -228,7 +252,17 @@ int main(int argc, char** argv) {
                                    run.entry_bytes);
     BenchReport::Global().AddValue(prefix + ".errors",
                                    static_cast<double>(run.errors));
+    BenchReport::Global().AddValue(prefix + ".build_ms", run.build_ms);
+    BenchReport::Global().AddValue(prefix + ".persist_ms", run.persist_ms);
+    BenchReport::Global().AddValue(prefix + ".open_ms", run.open_ms);
     runs.push_back(std::move(run));
+  }
+
+  std::printf("\n%7s | %10s %10s %10s\n", "shards", "build_ms", "persist_ms",
+              "open_ms");
+  for (size_t i = 0; i < runs.size(); ++i) {
+    std::printf("%7u | %10.1f %10.1f %10.1f\n", shard_counts[i],
+                runs[i].build_ms, runs[i].persist_ms, runs[i].open_ms);
   }
 
   // Cross-layout identity: the verified global top-k must not depend on the

@@ -3,15 +3,21 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/parallel.h"
+
 namespace imageproof::ann {
 
 RkdForest::RkdForest(const PointSet& points, ForestParams params)
     : points_(&points), params_(params) {
-  trees_.reserve(params_.num_trees);
-  for (int t = 0; t < params_.num_trees; ++t) {
-    trees_.push_back(std::make_unique<RkdTree>(
-        points, params_.max_leaf_size, params_.seed + 0x9E3779B9ULL * (t + 1)));
-  }
+  trees_.resize(static_cast<size_t>(std::max(params_.num_trees, 0)));
+  ParallelFor(
+      trees_.size(),
+      [&](size_t t) {
+        trees_[t] = std::make_unique<RkdTree>(
+            points, params_.max_leaf_size,
+            params_.seed + 0x9E3779B9ULL * (t + 1));
+      },
+      /*max_threads=*/0, /*grain=*/1);
 }
 
 NearestResult RkdForest::ApproxNearest(const float* query,

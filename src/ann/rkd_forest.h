@@ -10,9 +10,8 @@
 // Thread safety: ApproxNearest is const; without a scratch it allocates its
 // priority queue locally, so concurrent searches over one forest are safe.
 // A kern::SearchScratch passed in is the *caller's* single-owner state — one
-// scratch per concurrent searcher. ReplaceTrees mutates and requires
-// external exclusion (it only runs on freshly deserialized, not-yet-shared
-// packages).
+// scratch per concurrent searcher. A forest never changes after
+// construction.
 
 #ifndef IMAGEPROOF_ANN_RKD_FOREST_H_
 #define IMAGEPROOF_ANN_RKD_FOREST_H_
@@ -42,8 +41,16 @@ struct NearestResult {
 
 class RkdForest {
  public:
-  // Builds `params.num_trees` randomized trees over `points` (borrowed).
+  // Builds `params.num_trees` randomized trees over `points` (borrowed),
+  // one tree per worker: each tree has its own seed, so the trees are the
+  // same at any thread count.
   RkdForest(const PointSet& points, ForestParams params);
+
+  // Adopts persisted tree structures (storage/package_store.h); the trees
+  // must index `points`.
+  RkdForest(const PointSet& points, ForestParams params,
+            std::vector<std::unique_ptr<RkdTree>> trees)
+      : points_(&points), params_(params), trees_(std::move(trees)) {}
 
   // Approximate nearest neighbor of `query` (AKM step). With a scratch the
   // best-bin-first queue lives in (and warms) the caller's buffers, so a
@@ -57,11 +64,6 @@ class RkdForest {
 
   const std::vector<std::unique_ptr<RkdTree>>& trees() const { return trees_; }
 
-  // Swaps in persisted tree structures (storage/package_store.h); the trees
-  // must index this forest's point set.
-  void ReplaceTrees(std::vector<std::unique_ptr<RkdTree>> trees) {
-    trees_ = std::move(trees);
-  }
   const PointSet& points() const { return *points_; }
   const ForestParams& params() const { return params_; }
 

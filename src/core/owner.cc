@@ -49,20 +49,48 @@ crypto::Digest SpPackage::RootDigest() const {
                    : ForestRoot();
 }
 
-void SpPackage::BuildAds(bool split) {
+void CodebookAds::Derive(mrkd::RevealMode mode, bool split) {
+  reveal_mode = mode;
+  split_root = split;
+  mrkd::ClusterCommitments(mode, points, &cluster_commitments);
   mrkd_trees.clear();
-  mrkd::ClusterCommitments(config.reveal_mode, codebook, &cluster_commitments);
+  if (!split) return;
   for (const auto& tree : forest->trees()) {
-    mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
-        tree.get(), config.reveal_mode, split ? nullptr : &list_digests,
-        &cluster_commitments));
+    mrkd_trees.push_back(std::make_shared<mrkd::MrkdTree>(
+        tree.get(), mode, nullptr, &cluster_commitments));
   }
+}
+
+std::shared_ptr<const CodebookAds> BuildCodebookAds(const Config& config,
+                                                    ann::PointSet codebook,
+                                                    bool split) {
+  auto ads = std::make_shared<CodebookAds>();
+  ads->points = std::move(codebook);
+  ads->forest = std::make_unique<ann::RkdForest>(ads->points, config.forest);
+  ads->Derive(config.reveal_mode, split);
+  return ads;
+}
+
+SpPackage::SpPackage(std::shared_ptr<const CodebookAds> codebook_piece)
+    : codebook_ads(std::move(codebook_piece)),
+      codebook(codebook_ads->points),
+      forest(codebook_ads->forest.get()) {}
+
+void SpPackage::BuildAds() {
   list_tree.reset();
-  if (split) {
+  if (split_root()) {
+    mrkd_trees = codebook_ads->mrkd_trees;
     std::vector<Bytes> leaves;
     leaves.reserve(list_digests.size());
     for (const crypto::Digest& d : list_digests) leaves.push_back(ListLeaf(d));
     list_tree = std::make_unique<merkle::MerkleTree>(leaves);
+    return;
+  }
+  mrkd_trees.clear();
+  for (const auto& tree : forest->trees()) {
+    mrkd_trees.push_back(std::make_shared<mrkd::MrkdTree>(
+        tree.get(), config.reveal_mode, &list_digests,
+        &codebook_ads->cluster_commitments));
   }
 }
 
@@ -132,7 +160,7 @@ size_t SpPackage::AdsBytes() const {
   for (const auto& tree : mrkd_trees) {
     n += tree->tree().nodes().size() * crypto::kDigestSize;
   }
-  n += cluster_commitments.size() * crypto::kDigestSize;
+  n += codebook_ads->cluster_commitments.size() * crypto::kDigestSize;
   // The list tree keeps every level: < 2 digests per cluster.
   if (list_tree) n += 2 * list_tree->leaf_count() * crypto::kDigestSize;
   // Inverted-index digests and filters.
@@ -161,10 +189,12 @@ OwnerOutput BuildDeployment(
     std::unordered_map<ImageId, Bytes> image_data, uint64_t key_seed,
     const BuildOverrides& overrides) {
   OwnerOutput out;
-  out.package = std::make_unique<SpPackage>();
+  out.package = std::make_unique<SpPackage>(
+      overrides.codebook_ads
+          ? overrides.codebook_ads
+          : BuildCodebookAds(config, std::move(codebook), /*split=*/false));
   SpPackage& pkg = *out.package;
   pkg.config = config;
-  pkg.codebook = std::move(codebook);
   pkg.corpus = std::move(corpus);
   pkg.image_data = std::move(image_data);
 
@@ -216,9 +246,8 @@ OwnerOutput BuildDeployment(
     pkg.list_digests = pkg.inv_index->ListDigests();
   }
 
-  // Randomized k-d forest and the MRKD decorations.
-  pkg.forest = std::make_unique<ann::RkdForest>(pkg.codebook, config.forest);
-  pkg.BuildAds(overrides.split_root);
+  // The MRKD decorations over the codebook piece's forest.
+  pkg.BuildAds();
 
   // Public parameters: signed ADS digest.
   out.public_params.config = config;
@@ -227,7 +256,7 @@ OwnerOutput BuildDeployment(
       crypto::RsaSign(keys.private_key, pkg.RootDigest());
   out.public_params.dims = pkg.codebook.dims();
   out.public_params.num_clusters = num_clusters;
-  out.public_params.split_root = overrides.split_root;
+  out.public_params.split_root = pkg.split_root();
   out.private_key = keys.private_key;
   return out;
 }

@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -55,19 +56,69 @@ class ImagePayloadSource {
       const = 0;
 };
 
-// Everything outsourced to the SP. Movable, not copyable (the MRKD-trees
-// borrow the forest's trees).
+// The codebook side of the ADS: the codebook, its randomized k-d forest,
+// the cluster commitments and — in the split-root layout — the
+// codebook-only MRKD-trees. None of it depends on the image corpus, so one
+// immutable piece serves every package of a deployment: all shards of a
+// sharded one, and every snapshot an update clones (core/query_engine.h).
+// Packages hold it as shared_ptr<const CodebookAds>. Filled in place, then
+// frozen: the forest and trees point into `points`, so it is never copied or
+// moved.
+struct CodebookAds {
+  CodebookAds() = default;
+  CodebookAds(const CodebookAds&) = delete;
+  CodebookAds& operator=(const CodebookAds&) = delete;
+
+  // The SHA3 digests of the .ipk codebook and trees sections a piece was
+  // decoded from (storage/package_store.h). A decoder adopts the piece for
+  // another image only when that image's two sections have these digests.
+  struct SectionDigests {
+    crypto::Digest codebook;
+    crypto::Digest trees;
+  };
+
+  ann::PointSet points;
+  std::unique_ptr<ann::RkdForest> forest;
+  mrkd::RevealMode reveal_mode = mrkd::RevealMode::kFullVector;
+  // Cluster commitments under `reveal_mode`, shared by every MRKD-tree.
+  std::vector<crypto::Digest> cluster_commitments;
+  // Split-root layout: the codebook-only MRKD-trees, one per forest tree.
+  // Empty in the single-root layout, whose trees bind one package's lists.
+  // A codebook-only tree has no mutation (RefreshListDigest is a no-op), so
+  // packages share these.
+  bool split_root = false;
+  std::vector<std::shared_ptr<mrkd::MrkdTree>> mrkd_trees;
+  // Unset for a piece built in memory.
+  std::optional<SectionDigests> sections;
+
+  // Derives the commitments and, `split`, the codebook-only MRKD-trees once
+  // `points` and `forest` are set.
+  void Derive(mrkd::RevealMode mode, bool split);
+};
+
+// Builds the piece for `config` over `codebook`: the forest, then Derive.
+std::shared_ptr<const CodebookAds> BuildCodebookAds(const Config& config,
+                                                    ann::PointSet codebook,
+                                                    bool split);
+
+// Everything outsourced to the SP. Not copyable (the MRKD-trees borrow the
+// package's list digests).
 struct SpPackage {
+  explicit SpPackage(std::shared_ptr<const CodebookAds> codebook_piece);
+
   Config config;
-  ann::PointSet codebook;
+  // The codebook side of the ADS, shared with the deployment's other
+  // packages; `codebook` and `forest` view into it.
+  const std::shared_ptr<const CodebookAds> codebook_ads;
+  const ann::PointSet& codebook;
+  const ann::RkdForest* const forest;
   std::vector<std::pair<ImageId, bovw::BovwVector>> corpus;
   std::unordered_map<ImageId, Bytes> image_data;
   std::unordered_map<ImageId, Bytes> image_signatures;
 
-  std::unique_ptr<ann::RkdForest> forest;
-  // Cluster commitments of the codebook, shared by every MRKD-tree.
-  std::vector<crypto::Digest> cluster_commitments;
-  std::vector<std::unique_ptr<mrkd::MrkdTree>> mrkd_trees;
+  // One MRKD-tree per forest tree: codebook_ads->mrkd_trees in the split
+  // layout, and the package's own trees over list_digests otherwise.
+  std::vector<std::shared_ptr<mrkd::MrkdTree>> mrkd_trees;
   // Exactly one of the two indexes is populated, per config.freq_grouped.
   std::unique_ptr<invindex::MerkleInvertedIndex> inv_index;
   std::unique_ptr<freqgroup::FgInvertedIndex> fg_index;
@@ -101,7 +152,7 @@ struct SpPackage {
   // equal".
   bool ImagesEqual(const SpPackage& other) const;
 
-  bool split_root() const { return list_tree != nullptr; }
+  bool split_root() const { return codebook_ads->split_root; }
 
   // h(root_1 | ... | root_{n_t}) over the MRKD-trees.
   crypto::Digest ForestRoot() const;
@@ -109,11 +160,10 @@ struct SpPackage {
   // SplitRootDigest(ForestRoot(), list_tree->root()) in the split layout.
   crypto::Digest RootDigest() const;
 
-  // Builds the cluster commitments and the MRKD decorations over `forest`
-  // from `codebook` and `list_digests` — plus, when `split`, the list tree
-  // — replacing any previous ones. Called once the forest and the inverted
-  // index exist.
-  void BuildAds(bool split);
+  // Sets the MRKD-trees and, in the split layout, builds the list tree
+  // over `list_digests`, replacing any previous ones. Called once the
+  // inverted index exists.
+  void BuildAds();
 
   // Rough memory footprint of the ADS components (digests + filters), for
   // reporting.
@@ -121,8 +171,8 @@ struct SpPackage {
 };
 
 struct OwnerOutput {
-  // Heap-allocated and never moved: the forest and MRKD-trees hold pointers
-  // into the package's codebook and list-digest members.
+  // Heap-allocated and never moved: the MRKD-trees hold pointers into the
+  // package's list-digest member.
   std::unique_ptr<SpPackage> package;
   PublicParams public_params;
   // Retained by the owner (never shipped to the SP) so the deployment can
@@ -134,15 +184,18 @@ struct OwnerOutput {
 // shard planner (shard/planner.h) builds N deployments over disjoint corpus
 // slices but needs them mutually comparable: idf weights frozen from the
 // FULL corpus (so per-image scores are byte-identical to an unsharded
-// build) and one shared owner keypair (so every shard's roots and image
-// signatures verify under a single public key). Null members fall back to
-// the default behavior (weights from the build's own corpus, fresh keys
-// from key_seed).
+// build), one shared owner keypair (so every shard's roots and image
+// signatures verify under a single public key) and one codebook piece in
+// the split-root layout (so every shard shares one codebook forest). Null
+// members fall back to the default behavior (weights from the build's own
+// corpus, fresh keys from key_seed, a single-root piece built from the
+// codebook argument).
 struct BuildOverrides {
   const bovw::ClusterWeights* weights = nullptr;
   const crypto::RsaKeyPair* keys = nullptr;
-  // Build the split-root layout (SpPackage::list_tree).
-  bool split_root = false;
+  // Built by BuildCodebookAds under the same config. When set, the codebook
+  // argument is ignored and the piece's layout is the package's.
+  std::shared_ptr<const CodebookAds> codebook_ads;
 };
 
 // The signed root of a split-root package: one codebook forest root shared

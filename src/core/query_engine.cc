@@ -291,8 +291,13 @@ Result<UpdateStats> QueryEngine::TryApplyUpdate(
   // raw data, so a corrupted in-memory package (or a storage fault on the
   // image bytes — see fault::InjectByteFaults in SerializeSpPackage) fails
   // here instead of being silently republished under a fresh signature.
-  Result<std::unique_ptr<SpPackage>> clone =
-      storage::DeserializeSpPackage(storage::SerializeSpPackage(*base->package));
+  // The one exception is the immutable codebook piece, which the clone
+  // shares with the base: the decoder adopts it only when the re-encoded
+  // codebook and trees sections are the bytes it was decoded from, so a
+  // corrupted codebook or tree still surfaces as a diverging root.
+  Result<std::unique_ptr<SpPackage>> clone = storage::DeserializeSpPackage(
+      storage::SerializeSpPackage(*base->package),
+      base->package->codebook_ads);
   if (!clone.ok()) {
     return Result<UpdateStats>(
         Status::WithCode(clone.status().code(), "engine update: clone failed: " +
@@ -361,6 +366,7 @@ Result<UpdateStats> QueryEngine::TryApplyUpdate(
     }
     storage::OpenOptions open_opts;
     open_opts.params = &next->params;
+    open_opts.codebook_ads = next->package->codebook_ads;
     Result<std::unique_ptr<SpPackage>> reopened =
         storage::PackageStore::Open(*path, open_opts);
     if (!reopened.ok()) {

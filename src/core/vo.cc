@@ -4,20 +4,6 @@
 
 namespace imageproof::core {
 
-namespace {
-
-void PutBovwFields(ByteWriter& w, const std::vector<double>& thresholds_sq,
-                   const Bytes& reveal_section,
-                   const std::vector<Bytes>& tree_vos) {
-  w.PutVarint(thresholds_sq.size());
-  for (double t : thresholds_sq) w.PutF64(t);
-  w.PutBlob(reveal_section);
-  w.PutVarint(tree_vos.size());
-  for (const Bytes& t : tree_vos) w.PutBlob(t);
-}
-
-}  // namespace
-
 size_t BovwSection::ProofBytes() const {
   size_t n = reveal_section.size() + thresholds_sq.size() * sizeof(double);
   for (const Bytes& t : tree_vos) n += t.size();
@@ -25,7 +11,11 @@ size_t BovwSection::ProofBytes() const {
 }
 
 void BovwSection::Serialize(ByteWriter& w) const {
-  PutBovwFields(w, thresholds_sq, reveal_section, tree_vos);
+  w.PutVarint(thresholds_sq.size());
+  for (double t : thresholds_sq) w.PutF64(t);
+  w.PutBlob(reveal_section);
+  w.PutVarint(tree_vos.size());
+  for (const Bytes& t : tree_vos) w.PutBlob(t);
 }
 
 // Every count read below is capped against the bytes actually remaining
@@ -58,13 +48,9 @@ Status BovwSection::Deserialize(ByteReader& r, BovwSection* out) {
 }
 
 BovwSection QueryVO::TakeBovwSection() {
-  BovwSection out;
-  out.thresholds_sq = std::move(thresholds_sq);
-  out.reveal_section = std::move(reveal_section);
-  out.tree_vos = std::move(tree_vos);
-  thresholds_sq.clear();
-  reveal_section.clear();
-  tree_vos.clear();
+  BovwSection& section = *this;
+  BovwSection out = std::move(section);
+  section = BovwSection();
   return out;
 }
 
@@ -75,16 +61,14 @@ size_t QueryVO::TotalBytes() const {
 }
 
 size_t QueryVO::ProofBytes() const {
-  size_t n = reveal_section.size() + inv_vo.size() +
-             thresholds_sq.size() * sizeof(double);
-  for (const Bytes& t : tree_vos) n += t.size();
+  size_t n = BovwSection::ProofBytes() + inv_vo.size();
   for (const ResultImage& r : results) n += r.signature.size();
   return n + list_proof.size() * crypto::kDigestSize;
 }
 
 Bytes QueryVO::Serialize() const {
   ByteWriter w;
-  PutBovwFields(w, thresholds_sq, reveal_section, tree_vos);
+  BovwSection::Serialize(w);
   w.PutBlob(inv_vo);
   w.PutVarint(results.size());
   for (const ResultImage& r : results) {
@@ -102,12 +86,8 @@ Bytes QueryVO::Serialize() const {
 // Same allocation discipline as BovwSection::Deserialize.
 Status QueryVO::Deserialize(const Bytes& data, QueryVO* out) {
   ByteReader r(data);
-  BovwSection bovw;
-  Status s = BovwSection::Deserialize(r, &bovw);
+  Status s = BovwSection::Deserialize(r, out);
   if (!s.ok()) return s;
-  out->thresholds_sq = std::move(bovw.thresholds_sq);
-  out->reveal_section = std::move(bovw.reveal_section);
-  out->tree_vos = std::move(bovw.tree_vos);
   if (!(s = r.GetBlob(&out->inv_vo)).ok()) return s;
   uint64_t n;
   if (!(s = r.GetVarint(&n)).ok()) return s;

@@ -26,7 +26,7 @@ struct ResultImage {
 
 // The BoVW-step proof of a query ({VO_C,i}, the shared candidate reveals,
 // the per-feature thresholds): what the client replays to recompute the
-// query's BoVW vector. Encoded exactly as the leading fields of a QueryVO.
+// query's BoVW vector, and the leading part of every QueryVO.
 // A sharded composite VO (shard/composite.h) carries one, shared by every
 // shard's entry.
 struct BovwSection {
@@ -41,17 +41,15 @@ struct BovwSection {
   static Status Deserialize(ByteReader& r, BovwSection* out);
 };
 
-// VO for a whole query: the BoVW-step proof (the fields of a BovwSection)
-// plus the inverted-index proof and the per-result signatures.
+// VO for a whole query: the BoVW-step proof (the BovwSection it extends,
+// encoded first) plus the inverted-index proof and the per-result
+// signatures.
 //
 // In the split-root layout of a shard (core/owner.h) the VO also carries
 // the list-tree multiproof of the query's support clusters, and a
-// composite entry is the inverted-only form: the three BoVW fields are
-// empty, the proof travelling once beside the entries.
-struct QueryVO {
-  std::vector<double> thresholds_sq;  // squared threshold per feature vector
-  Bytes reveal_section;               // shared candidate reveals (union C_i)
-  std::vector<Bytes> tree_vos;        // one token stream per MRKD-tree
+// composite entry is the inverted-only form: the BoVW section is empty,
+// the proof travelling once beside the entries.
+struct QueryVO : BovwSection {
   Bytes inv_vo;                       // InvSearch / FgSearch VO
   std::vector<ResultImage> results;   // top-k images + signatures
   // Split-root layout only: merkle::MerkleTree::ProveSubset of the list
@@ -68,7 +66,7 @@ struct QueryVO {
     return !thresholds_sq.empty() || !reveal_section.empty() ||
            !tree_vos.empty();
   }
-  // Moves the BoVW fields out, leaving the inverted-only form.
+  // Moves the BoVW section out, leaving the inverted-only form.
   BovwSection TakeBovwSection();
 
   Bytes Serialize() const;

@@ -76,6 +76,8 @@ void Sha3_256::Absorb(const uint8_t* block) {
 }
 
 void Sha3_256::Update(const uint8_t* data, size_t n) {
+  // An empty input may come with a null `data`, which memcpy must not see.
+  if (n == 0) return;
   // Fast path: absorb full blocks straight from the input once the carry
   // buffer is empty, instead of staging every byte through it.
   if (buffered_ > 0) {

@@ -39,21 +39,22 @@ ShardedDeployment ShardPlanner::Build(
     if (it != image_data.end()) slice_images[sid][it->first] = it->second;
   }
 
+  // The codebook forest is a function of the codebook and config alone:
+  // built once, shared by every shard.
   core::BuildOverrides overrides;
   overrides.weights = &weights;
   overrides.keys = &out.keys;
-  overrides.split_root = true;
+  overrides.codebook_ads =
+      core::BuildCodebookAds(config, codebook, /*split=*/true);
   out.shards.reserve(num_shards);
   for (uint32_t sid = 0; sid < num_shards; ++sid) {
     out.shards.push_back(core::BuildDeployment(
-        config, codebook, std::move(slices[sid]),
+        config, ann::PointSet(), std::move(slices[sid]),
         std::move(slice_images[sid]), key_seed, overrides));
   }
 
   out.manifest.num_shards = num_shards;
   out.manifest.epoch = 0;
-  // The forest is a function of the codebook and config alone, so every
-  // shard built the same one.
   out.manifest.codebook_root = out.shards[0].package->ForestRoot();
   out.manifest.shards.resize(num_shards);
   for (uint32_t sid = 0; sid < num_shards; ++sid) {
@@ -109,6 +110,11 @@ Result<OpenedShardedDeployment> OpenShardedDeployment(
     shard.params.split_root = true;
     storage::OpenOptions open_opts;
     open_opts.params = &shard.params;
+    // Shard 0 decodes the codebook piece; the others adopt it when their
+    // codebook and trees sections are the same bytes. A shard whose
+    // sections differ decodes its own, and the codebook root check below
+    // rejects it.
+    if (sid > 0) open_opts.codebook_ads = out.shards[0].package->codebook_ads;
     auto pkg = storage::PackageStore::OpenCurrent(
         dir + "/" + ShardDirName(sid), open_opts, &shard.epoch);
     if (!pkg.ok()) return pkg.status();

@@ -12,10 +12,11 @@
 //   * one owner keypair signs everything: all shard roots, all image
 //     signatures, and the shard manifest verify under a single public key;
 //   * every shard uses the split-root layout (core/owner.h): its MRKD
-//     forest is codebook-only, hence the same on every shard and committed
-//     once in the manifest, and its signed root is H(codebook root, list
-//     root) — so a query's BoVW encoding is one proof for all shards, and
-//     an update re-hashes only one list-tree path.
+//     forest is codebook-only, hence the same on every shard — built once,
+//     held once in memory, committed once in the manifest — and its signed
+//     root is H(codebook root, list root) — so a query's BoVW encoding is
+//     one proof for all shards, and an update re-hashes only one list-tree
+//     path.
 //
 // The partition is shard(id) = id mod num_shards (ShardManifest::ShardOf):
 // stateless, so a verifier can check result placement without any lookup
@@ -98,7 +99,9 @@ struct OpenedShardedDeployment {
 // config/public key/dims (its root_signature member is ignored); each
 // shard's own root signature comes from the manifest, and every package
 // open verifies against it and against the manifest's codebook root. The
-// manifest signature itself is checked before any shard is touched.
+// manifest signature itself is checked before any shard is touched. All
+// shards hold shard 0's codebook piece (core::CodebookAds): one copy of
+// the codebook, its forest and the codebook-only MRKD-trees.
 Result<OpenedShardedDeployment> OpenShardedDeployment(
     const std::string& dir, const core::PublicParams& base_params);
 

@@ -570,14 +570,65 @@ Result<Bytes> EncodePackage(const core::SpPackage& package, uint32_t page) {
 // survive a clone.
 enum class DecodeMode { kMapped, kInMemory };
 
-// Decodes the byte image `file` into `pkg` (freshly constructed, not moved
-// afterwards: the MRKD trees point into it) and its payload records into
-// `images`, which point into `file`. Every byte of the image is checked:
-// header and TOC by their digests, alignment gaps for zero padding, every
-// section except the blobs by its TOC digest, and the blobs — which the
-// payload extents tile exactly — by the per-payload digests on every read.
-// The root re-derived from the decoded sections must equal the header's.
-Status DecodePackage(BytesView file, DecodeMode mode, core::SpPackage* pkg,
+// The codebook piece of an image from its codebook and trees sections,
+// which are already checked against their TOC digests `sections`: `shared`
+// when it was decoded from sections with these digests under the same
+// forest parameters, reveal mode and layout — every input it derives from
+// is then the same — and otherwise a piece decoded from the two sections.
+// This is the one place a decoder adopts a piece.
+Status DecodeCodebookAds(ByteReader codebook_r, ByteReader trees_r,
+                         const core::CodebookAds::SectionDigests& sections,
+                         const core::Config& config, bool split_root,
+                         const std::shared_ptr<const core::CodebookAds>& shared,
+                         std::shared_ptr<const core::CodebookAds>* out) {
+  if (shared != nullptr && shared->sections.has_value() &&
+      shared->sections->codebook == sections.codebook &&
+      shared->sections->trees == sections.trees &&
+      shared->forest->params() == config.forest &&
+      shared->reveal_mode == config.reveal_mode &&
+      shared->split_root == split_root) {
+    *out = shared;
+    return Status::Ok();
+  }
+  auto ads = std::make_shared<core::CodebookAds>();
+  Status s = GetPointSet(codebook_r, &ads->points);
+  if (!s.ok()) return s;
+  if (!codebook_r.AtEnd()) return Corrupt("trailing bytes in codebook");
+
+  // The stored tree shapes are adopted, not rebuilt, so node layouts (and
+  // therefore digests) match the owner's signature even if the standard
+  // library's partition order ever changes.
+  uint64_t num_trees = 0;
+  if (!(s = trees_r.GetVarint(&num_trees)).ok()) return s;
+  if (num_trees != static_cast<uint64_t>(config.forest.num_trees)) {
+    return Corrupt("tree count diverges from config");
+  }
+  std::vector<std::unique_ptr<ann::RkdTree>> trees;
+  for (uint64_t i = 0; i < num_trees; ++i) {
+    std::unique_ptr<ann::RkdTree> tree;
+    s = GetTree(trees_r, ads->points, config.forest.max_leaf_size, &tree);
+    if (!s.ok()) return s;
+    trees.push_back(std::move(tree));
+  }
+  if (!trees_r.AtEnd()) return Corrupt("trailing bytes in trees");
+  ads->forest = std::make_unique<ann::RkdForest>(ads->points, config.forest,
+                                                 std::move(trees));
+  ads->Derive(config.reveal_mode, split_root);
+  ads->sections = sections;
+  *out = std::move(ads);
+  return Status::Ok();
+}
+
+// Decodes the byte image `file` into `*out` and its payload records into
+// `images`, which point into `file`. The codebook piece is `shared` when
+// DecodeCodebookAds adopts it. Every byte of the image is checked: header
+// and TOC by their digests, alignment gaps for zero padding, every section
+// except the blobs by its TOC digest, and the blobs — which the payload
+// extents tile exactly — by the per-payload digests on every read. The root
+// re-derived from the decoded sections must equal the header's.
+Status DecodePackage(BytesView file, DecodeMode mode,
+                     const std::shared_ptr<const core::CodebookAds>& shared,
+                     std::unique_ptr<core::SpPackage>* out,
                      StoredImages* images) {
   Header header;
   std::vector<TocEntry> toc;
@@ -601,16 +652,21 @@ Status DecodePackage(BytesView file, DecodeMode mode, core::SpPackage* pkg,
                      : Corrupt(std::string("trailing bytes in ") + name);
   };
 
+  core::Config config;
   {
     ByteReader r = section(kConfig);
-    if (!(s = GetConfig(r, &pkg->config)).ok()) return s;
+    if (!(s = GetConfig(r, &config)).ok()) return s;
     if (!(s = section_done(r, "config")).ok()) return s;
   }
-  {
-    ByteReader r = section(kCodebook);
-    if (!(s = GetPointSet(r, &pkg->codebook)).ok()) return s;
-    if (!(s = section_done(r, "codebook")).ok()) return s;
-  }
+  std::shared_ptr<const core::CodebookAds> ads;
+  s = DecodeCodebookAds(
+      section(kCodebook), section(kTrees),
+      {toc[kCodebook - 1].digest, toc[kTrees - 1].digest}, config,
+      header.split_root, shared, &ads);
+  if (!s.ok()) return s;
+  *out = std::make_unique<core::SpPackage>(std::move(ads));
+  core::SpPackage* pkg = out->get();
+  pkg->config = config;
   {
     ByteReader r = section(kCorpus);
     uint64_t n = 0;
@@ -696,32 +752,7 @@ Status DecodePackage(BytesView file, DecodeMode mode, core::SpPackage* pkg,
     }
     if (!(s = section_done(r, "postings")).ok()) return s;
   }
-  {
-    // The stored tree shapes replace freshly built ones, so node layouts
-    // (and therefore digests) match the owner's signature even if the
-    // standard library's partition order ever changes.
-    ByteReader r = section(kTrees);
-    uint64_t num_trees = 0;
-    if (!(s = r.GetVarint(&num_trees)).ok()) return s;
-    if (num_trees != static_cast<uint64_t>(pkg->config.forest.num_trees)) {
-      return Corrupt("tree count diverges from config");
-    }
-    pkg->forest =
-        std::make_unique<ann::RkdForest>(pkg->codebook, pkg->config.forest);
-    std::vector<std::unique_ptr<ann::RkdTree>> trees;
-    for (uint64_t i = 0; i < num_trees; ++i) {
-      std::unique_ptr<ann::RkdTree> tree;
-      if (!(s = GetTree(r, pkg->codebook, pkg->config.forest.max_leaf_size,
-                        &tree))
-               .ok()) {
-        return s;
-      }
-      trees.push_back(std::move(tree));
-    }
-    pkg->forest->ReplaceTrees(std::move(trees));
-    if (!(s = section_done(r, "trees")).ok()) return s;
-  }
-  pkg->BuildAds(header.split_root);
+  pkg->BuildAds();
   {
     const TocEntry& blobs = toc[kImageBlobs - 1];
     ByteReader r = section(kImageIndex);
@@ -766,10 +797,11 @@ Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
   Result<MmapFile> map = MmapFile::Open(path);
   if (!map.ok()) return map.status();
 
-  auto pkg = std::make_unique<core::SpPackage>();
+  std::unique_ptr<core::SpPackage> pkg;
   auto mapped = std::make_shared<StoredImages>();
   Status s = DecodePackage(BytesView(map->data(), map->size()),
-                           DecodeMode::kMapped, pkg.get(), mapped.get());
+                           DecodeMode::kMapped, opts.codebook_ads, &pkg,
+                           mapped.get());
   if (!s.ok()) return s;
   // Payload pages are random-access (whatever ids land in top-k);
   // readahead would just drag cold neighbours into the page cache.
@@ -822,9 +854,16 @@ Bytes SerializeSpPackage(const core::SpPackage& package) {
 
 Result<std::unique_ptr<core::SpPackage>> DeserializeSpPackage(
     const Bytes& data) {
-  auto pkg = std::make_unique<core::SpPackage>();
+  return DeserializeSpPackage(data, nullptr);
+}
+
+Result<std::unique_ptr<core::SpPackage>> DeserializeSpPackage(
+    const Bytes& data,
+    const std::shared_ptr<const core::CodebookAds>& codebook_ads) {
+  std::unique_ptr<core::SpPackage> pkg;
   StoredImages images;
-  Status s = DecodePackage(data, DecodeMode::kInMemory, pkg.get(), &images);
+  Status s =
+      DecodePackage(data, DecodeMode::kInMemory, codebook_ads, &pkg, &images);
   if (!s.ok()) return s;
   core::SpPackage* out = pkg.get();
   s = images.ForEach([out](ImageId id, BytesView payload, BytesView sig) {

@@ -41,9 +41,11 @@
 //     wrong VO bytes.
 //   * Authenticity is separate from integrity: Open re-derives h(Theta)
 //     from the stored filter bytes, h_Gamma per list, and every MRKD node
-//     digest, then (given PublicParams) RsaVerify's the root over the
-//     mapped bytes — so a wholesale file swap by someone without the
-//     owner's key fails open even with self-consistent digests. Stored
+//     digest — except those of an adopted codebook piece, which were
+//     derived from byte-identical codebook and trees sections — then
+//     (given PublicParams) RsaVerify's the root over the mapped bytes — so
+//     a wholesale file swap by someone without the owner's key fails open
+//     even with self-consistent digests. Stored
 //     posting-chain digests are bound through h_pos1 and re-derived by
 //     clients per query; deep_verify re-walks them eagerly.
 //   * Every decoder caps allocations against bytes actually present,
@@ -88,6 +90,12 @@ struct OpenOptions {
   // Re-walk every posting/group chain and every image payload digest
   // eagerly (faults the whole file in). For audits and tests, not serving.
   bool deep_verify = false;
+  // The codebook piece of another package of the deployment (a sibling
+  // shard, the snapshot an update replaces). Adopted instead of decoded
+  // when the file's codebook and trees sections carry the digests it was
+  // decoded from (storage/serializer.h); the root and signature checks run
+  // either way.
+  std::shared_ptr<const core::CodebookAds> codebook_ads;
 };
 
 // Layout facts for tooling and the bit-flip scan: which byte ranges of the
@@ -131,10 +139,12 @@ class PackageStore {
                       const WriteOptions& options = {});
 
   // Maps `path` and reconstructs a disk-backed SpPackage: sections are
-  // digest-checked, indexes restored without rehashing their chains, MRKD
-  // digests rebuilt, the root bound to the header and (with opts.params)
-  // to the owner's signature. The returned package serves image payloads
-  // zero-copy from the mapping; its `backing` member pins the map.
+  // digest-checked, indexes restored without rehashing their chains, the
+  // stored forest trees adopted (or, with opts.codebook_ads, the whole
+  // codebook piece), MRKD digests rebuilt, the root bound to the header
+  // and (with opts.params) to the owner's signature. The returned
+  // package serves image payloads zero-copy from the mapping; its
+  // `backing` member pins the map.
   static Result<std::unique_ptr<core::SpPackage>> Open(
       const std::string& path, const OpenOptions& opts = {});
 

@@ -35,6 +35,15 @@ Bytes SerializeSpPackage(const core::SpPackage& package);
 // recomputed root must equal the one the image records.
 Result<std::unique_ptr<core::SpPackage>> DeserializeSpPackage(const Bytes& data);
 
+// As above, adopting `codebook_ads` as the package's codebook piece when
+// the image's codebook and trees sections carry the digests the piece was
+// decoded from (and its forest parameters, reveal mode and layout match);
+// otherwise the piece is decoded from the image. The engine's update clone
+// passes the served snapshot's piece.
+Result<std::unique_ptr<core::SpPackage>> DeserializeSpPackage(
+    const Bytes& data,
+    const std::shared_ptr<const core::CodebookAds>& codebook_ads);
+
 // Public parameters (what clients persist).
 Bytes SerializePublicParams(const core::PublicParams& params);
 Result<core::PublicParams> DeserializePublicParams(const Bytes& data);

@@ -17,6 +17,7 @@
 #include "core/query_engine.h"
 #include "core/server.h"
 #include "obs/metrics.h"
+#include "storage/serializer.h"
 #include "workload/synthetic.h"
 
 namespace imageproof {
@@ -419,6 +420,55 @@ TEST_F(EngineFaultTest, CorpusDivergingFromIndexRollsBack) {
   EXPECT_EQ(resp.snapshot->version, 0u);
   core::Client client(resp.snapshot->params);
   EXPECT_TRUE(client.Verify(features, 5, resp.response.vo).ok());
+}
+
+// The update clone adopts the served snapshot's codebook piece only when
+// the re-encoded codebook and trees sections are the bytes the piece was
+// decoded from. A codebook coordinate or a tree split corrupted in memory
+// changes those bytes, so the clone decodes them instead, its root
+// diverges from the signed one, and nothing is published.
+TEST_F(EngineFaultTest, CorruptedCodebookPieceRollsBack) {
+  EngineFixture fx;
+  auto decoded = storage::DeserializeSpPackage(
+      storage::SerializeSpPackage(*fx.package));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  std::shared_ptr<const core::SpPackage> served(std::move(*decoded));
+  ASSERT_TRUE(served->codebook_ads->sections.has_value());
+  core::QueryEngine engine(served, fx.owner.public_params, {});
+
+  float& coordinate = const_cast<float&>(served->codebook.row(3)[1]);
+  ann::RkdNode& root = const_cast<ann::RkdNode&>(
+      served->forest->trees()[2]->nodes()[0]);
+  ASSERT_FALSE(root.IsLeaf());
+  workload::CorpusParams qp;
+  qp.num_clusters = 64;
+  for (float* corrupted : {&coordinate, &root.split_value}) {
+    const float saved = *corrupted;
+    *corrupted += 1.0f;
+    auto ins = engine.InsertImage(fx.owner.private_key, 40004,
+                                  workload::GenerateQueryBovw(qp, 10, 5),
+                                  workload::GenerateImageBlob(40004));
+    *corrupted = saved;
+    ASSERT_FALSE(ins.ok()) << "update over a corrupted codebook was published";
+    EXPECT_EQ(ins.status().code(), StatusCode::kCorrupted)
+        << ins.status().message();
+    EXPECT_EQ(engine.CurrentSnapshot()->version, 0u);
+  }
+
+  auto features = fx.Features(15);
+  core::EngineResponse resp = engine.Submit(features, 5).get();
+  ASSERT_TRUE(resp.ok()) << resp.status.message();
+  EXPECT_EQ(resp.snapshot->version, 0u);
+  core::Client client(resp.snapshot->params);
+  EXPECT_TRUE(client.Verify(features, 5, resp.response.vo).ok());
+
+  // Intact, the piece is adopted: the new snapshot shares it.
+  auto ins = engine.InsertImage(fx.owner.private_key, 40004,
+                                workload::GenerateQueryBovw(qp, 10, 5),
+                                workload::GenerateImageBlob(40004));
+  ASSERT_TRUE(ins.ok()) << ins.status().message();
+  EXPECT_EQ(engine.CurrentSnapshot()->package->codebook_ads,
+            served->codebook_ads);
 }
 
 TEST_F(EngineFaultTest, SigningFaultIsCaughtBeforePublish) {

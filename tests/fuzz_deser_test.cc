@@ -326,7 +326,9 @@ TEST(GroupVarintFuzzTest, EveryTruncationRejected) {
     ByteReader r(prefix);
     Status s = kern::GroupVarintDecode(r, values.size(), out.data());
     EXPECT_FALSE(s.ok()) << "truncation to " << len << " bytes decoded";
-    if (!s.ok()) EXPECT_EQ(s.code(), StatusCode::kCorrupted);
+    if (!s.ok()) {
+      EXPECT_EQ(s.code(), StatusCode::kCorrupted);
+    }
   }
 }
 

@@ -262,7 +262,8 @@ TEST_F(PackageStoreTest, TruncatedAndPaddedFilesRejected) {
     std::string path = tmp_.File("store_resize.ipk");
     FILE* f = std::fopen(path.c_str(), "wb");
     EXPECT_NE(f, nullptr);
-    std::fwrite(data.data(), 1, data.size(), f);
+    // An empty vector's data() may be null, which fwrite must not see.
+    if (!data.empty()) std::fwrite(data.data(), 1, data.size(), f);
     std::fclose(f);
     auto loaded = PackageStore::Open(path, SignedOpen());
     std::remove(path.c_str());

@@ -583,6 +583,71 @@ TEST(ShardServingTest, PersistenceRoundTripAndManifestTamper) {
   EXPECT_FALSE(bad.ok());
 }
 
+// One codebook piece per deployment: the planner builds it once for every
+// shard, and a reopen decodes it from shard 0 and adopts it for the others.
+// A shard whose codebook differs decodes its own piece and is rejected by
+// the manifest's codebook root, even though its own file is signed and
+// self-consistent.
+TEST(ShardServingTest, ShardsShareOneCodebookPiece) {
+  test_util::TestDir tmp;
+  TestData d = MakeData();
+  shard::ShardedDeployment dep =
+      shard::ShardPlanner::Build(d.config, d.codebook, d.corpus, d.blobs, 3);
+  for (const core::OwnerOutput& s : dep.shards) {
+    EXPECT_EQ(s.package->codebook_ads, dep.shards[0].package->codebook_ads);
+  }
+  const core::PublicParams base = dep.shards[0].public_params;
+  const std::string dir = tmp.File("shard_codebook");
+  ASSERT_TRUE(shard::WriteShardedDeployment(dir, dep).ok());
+
+  Result<shard::OpenedShardedDeployment> opened =
+      shard::OpenShardedDeployment(dir, base);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  ASSERT_EQ(opened->shards.size(), 3u);
+  const core::CodebookAds* piece =
+      opened->shards[0].package->codebook_ads.get();
+  ASSERT_TRUE(piece->sections.has_value());
+  for (const shard::OpenedShard& s : opened->shards) {
+    EXPECT_EQ(s.package->codebook_ads.get(), piece);
+    EXPECT_EQ(s.package->codebook.row(0), piece->points.row(0));
+  }
+
+  // Rebuild shard 1 over a codebook one coordinate away, sign it with the
+  // deployment's key and re-sign the manifest to name its root.
+  ann::PointSet other = d.codebook;
+  other.row(5)[2] += 0.5f;
+  std::vector<std::pair<bovw::ImageId, bovw::BovwVector>> slice;
+  std::unordered_map<bovw::ImageId, Bytes> slice_blobs;
+  for (const auto& entry : d.corpus) {
+    if (shard::ShardManifest::ShardOf(entry.first, 3) != 1) continue;
+    slice.push_back(entry);
+    slice_blobs[entry.first] = d.blobs.at(entry.first);
+  }
+  core::BuildOverrides overrides;
+  overrides.keys = &dep.keys;
+  overrides.codebook_ads =
+      core::BuildCodebookAds(d.config, std::move(other), /*split=*/true);
+  core::OwnerOutput forged =
+      core::BuildDeployment(d.config, ann::PointSet(), std::move(slice),
+                            std::move(slice_blobs), 0x5E5, overrides);
+  ASSERT_NE(forged.package->ForestRoot(), dep.manifest.codebook_root);
+  const std::string shard_dir = dir + "/" + shard::ShardDirName(1);
+  ASSERT_TRUE(
+      storage::PackageStore::WriteEpoch(shard_dir, 0, *forged.package).ok());
+  shard::ShardManifest manifest = dep.manifest;
+  manifest.shards[1].current = forged.package->RootDigest();
+  manifest.shards[1].current_signature = forged.public_params.root_signature;
+  manifest.Sign(dep.keys.private_key);
+  ASSERT_TRUE(shard::SaveManifest(dir + "/MANIFEST", manifest).ok());
+
+  Result<shard::OpenedShardedDeployment> rejected =
+      shard::OpenShardedDeployment(dir, base);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kCorrupted);
+  EXPECT_NE(rejected.status().message().find("codebook"), std::string::npos)
+      << rejected.status().message();
+}
+
 TEST(ShardServingTest, BackendCountMismatchFailsEveryOperation) {
   TestData d = MakeData();
   const std::vector<std::vector<float>> features = QueryFeatures(d);
